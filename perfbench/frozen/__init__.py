@@ -1,0 +1,114 @@
+"""Point estimates and credible balls for Bayesian posteriors over clusterings.
+
+This is a frozen copy of ``postclust`` at commit 18af543, the benchmark's
+speed control (see ``perfbench/pipeline.py``).  Never change it: the
+benchmark's ``pipeline_s`` is measured relative to it.
+
+The package covers the full pipeline: a Dirichlet-process mixture sampler
+produces partition draws; partition metrics (variation of information and
+the N-invariant pair-counting distance) score candidate clusterings; a
+greedy lattice search locates the posterior expected-loss minimizer; and
+credible balls with vertical/horizontal bounds quantify the uncertainty
+around it.
+"""
+
+__version__ = "0.1.0"
+
+from .ball import BallBounds, CredibleBall, ball_bounds, credible_ball
+from .dpm import (
+    Dataset,
+    SamplerConfig,
+    crp_log_prior,
+    gibbs_run,
+    load_galaxy,
+    log_marginal,
+    simulate_example,
+)
+from .metrics import (
+    Metric,
+    NeighborCandidate,
+    binder,
+    closest_neighbors,
+    entropy,
+    merge_delta,
+    mutual_information,
+    rand_index,
+    split_delta,
+    vi,
+)
+from .partition import (
+    ContingencyTable,
+    Partition,
+    canonicalize,
+    contingency,
+    covers,
+    enumerate_partitions,
+    join,
+    leq,
+    meet,
+    one_cluster,
+    singletons,
+)
+from .posterior import (
+    DrawMatrix,
+    SimilarityMatrix,
+    best_sampled,
+    draw_distances,
+    expected_binder,
+    expected_loss,
+    expected_vi,
+    expected_vi_lower,
+    load_draws,
+    similarity_matrix,
+)
+from .search import SearchConfig, SearchResult, evaluate_candidates, greedy_search
+
+__all__ = [
+    "__version__",
+    "BallBounds",
+    "ContingencyTable",
+    "CredibleBall",
+    "Dataset",
+    "DrawMatrix",
+    "Metric",
+    "NeighborCandidate",
+    "Partition",
+    "SamplerConfig",
+    "SearchConfig",
+    "SearchResult",
+    "SimilarityMatrix",
+    "ball_bounds",
+    "best_sampled",
+    "binder",
+    "canonicalize",
+    "closest_neighbors",
+    "contingency",
+    "covers",
+    "credible_ball",
+    "crp_log_prior",
+    "draw_distances",
+    "entropy",
+    "enumerate_partitions",
+    "evaluate_candidates",
+    "expected_binder",
+    "expected_loss",
+    "expected_vi",
+    "expected_vi_lower",
+    "gibbs_run",
+    "greedy_search",
+    "join",
+    "leq",
+    "load_draws",
+    "load_galaxy",
+    "log_marginal",
+    "meet",
+    "merge_delta",
+    "mutual_information",
+    "one_cluster",
+    "rand_index",
+    "similarity_matrix",
+    "simulate_example",
+    "singletons",
+    "split_delta",
+    "vi",
+]

@@ -1,0 +1,103 @@
+"""Credible balls around a partition point estimate, with summary bounds.
+
+The 1 - alpha credible ball is the smallest metric ball centered at the
+point estimate that holds at least 1 - alpha of the posterior mass, with
+the mass and the radius both estimated from the MCMC draws.  Because the
+radius must come from the empirical distance grid, it is always one of the
+observed center-to-draw distances.
+
+A ball over thousands of draws is unwieldy to report, so it is summarized
+by three bound sets taken over the distinct member partitions: the
+vertical upper bounds (fewest clusters, then most distant from the
+center), the vertical lower bounds (most clusters, then most distant), and
+the horizontal bounds (most distant overall).
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .metrics import Metric
+from .partition import Partition
+from .posterior import DrawMatrix, draw_distances
+
+
+@dataclass(eq=False)
+class CredibleBall:
+    center: Partition
+    metric: Metric
+    alpha: float
+    epsilon_star: float
+    member_indices: np.ndarray  # draw indices within the radius
+    coverage: float  # achieved posterior mass, >= 1 - alpha
+    distances: np.ndarray = field(repr=False)  # center-to-draw, all M draws
+
+
+@dataclass(eq=False)
+class BallBounds:
+    upper_vertical: tuple[Partition, ...]
+    lower_vertical: tuple[Partition, ...]
+    horizontal: tuple[Partition, ...]
+
+
+def credible_ball(
+    center: Partition,
+    draws: DrawMatrix,
+    alpha: float,
+    metric: Metric,
+) -> CredibleBall:
+    """Smallest ball around ``center`` holding >= 1 - alpha posterior mass."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    d = draw_distances(center, draws, metric)
+    order = np.sort(d)
+    m = draws.m
+    counts = np.arange(1, m + 1)
+    needed = int(np.flatnonzero(counts / m >= 1.0 - alpha)[0])
+    eps = float(order[needed])
+    members = np.flatnonzero(d <= eps)
+    return CredibleBall(
+        center=center,
+        metric=metric,
+        alpha=alpha,
+        epsilon_star=eps,
+        member_indices=members,
+        coverage=members.size / m,
+        distances=d,
+    )
+
+
+def ball_bounds(ball: CredibleBall, draws: DrawMatrix) -> BallBounds:
+    """Extract the vertical and horizontal bound partitions of a ball.
+
+    Bounds are taken over the distinct partitions inside the ball (every
+    sampled member counts, regardless of how often it was visited).  When
+    several partitions tie on a bound criterion all are reported, ordered
+    by draw frequency and then by label sequence.
+    """
+    idx = ball.member_indices
+    rows = draws.draws[idx]
+    dist = ball.distances[idx]
+    uniques, first, counts = np.unique(
+        rows, axis=0, return_index=True, return_counts=True
+    )
+    u_dist = dist[first]
+    u_k = uniques.max(axis=1) + 1
+
+    def collect(mask: np.ndarray) -> tuple[Partition, ...]:
+        chosen = np.flatnonzero(mask)
+        ordering = sorted(
+            chosen, key=lambda u: (-counts[u], tuple(uniques[u].tolist()))
+        )
+        return tuple(
+            Partition(tuple(int(x) for x in uniques[u])) for u in ordering
+        )
+
+    k_min = u_k.min()
+    k_max = u_k.max()
+    upper_pool = u_k == k_min
+    lower_pool = u_k == k_max
+    upper = collect(upper_pool & (u_dist == u_dist[upper_pool].max()))
+    lower = collect(lower_pool & (u_dist == u_dist[lower_pool].max()))
+    horizontal = collect(u_dist == u_dist.max())
+    return BallBounds(upper, lower, horizontal)

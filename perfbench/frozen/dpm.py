@@ -1,0 +1,324 @@
+"""Collapsed Gibbs sampler for a Dirichlet-process mixture of normals.
+
+The observation model is a DP mixture of D-dimensional normals with
+diagonal covariance; the base measure is an independent normal-inverse-
+gamma prior per dimension (mean mu0 with precision multiplier c, variance
+with shape a and rate b), so cluster parameters integrate out in closed
+form.  Items are reassigned one at a time: an existing cluster attracts an
+item with weight proportional to its size times the posterior-predictive
+density, and a new cluster with weight proportional to the mass parameter
+times the prior-predictive density.  The mass parameter either stays fixed
+or is refreshed once per sweep under a gamma hyperprior via the usual
+beta-augmentation step.
+
+One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
+consumed by the summary tools.
+"""
+
+import math
+from dataclasses import dataclass
+from importlib import resources
+from typing import Sequence
+
+import numpy as np
+
+from .partition import Partition, canonicalize
+from .posterior import DrawMatrix
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+class Dataset:
+    """N observations of dimension D, stored as an (N, D) float matrix."""
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2:
+            raise ValueError("data must be a vector or a 2-D matrix")
+        if pts.shape[0] < 2:
+            raise ValueError("need at least 2 observations")
+        if not np.isfinite(pts).all():
+            raise ValueError("data contains non-finite values")
+        self.points = pts
+        self.points.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
+
+
+@dataclass
+class SamplerConfig:
+    """Hyperparameters and run settings for :func:`gibbs_run`.
+
+    ``iterations`` counts all sweeps including burn-in; the recorded chain
+    has ``iterations - burn_in`` rows.  ``alpha_prior`` is the (shape, rate)
+    of the gamma hyperprior on the mass parameter; pass None to keep the
+    mass fixed at ``alpha0``.
+    """
+
+    mu0: float | Sequence[float] = 0.0
+    c: float = 1.0
+    a: float = 1.0
+    b: float | Sequence[float] = 1.0
+    alpha0: float = 1.0
+    alpha_prior: tuple[float, float] | None = (1.0, 1.0)
+    iterations: int = 1000
+    burn_in: int = 0
+    seed: int = 0
+    random_scan: bool = False
+
+    def __post_init__(self):
+        if self.c <= 0 or self.a <= 0:
+            raise ValueError("c and a must be positive")
+        if np.any(np.asarray(self.b, dtype=np.float64) <= 0):
+            raise ValueError("b must be positive")
+        if self.alpha0 <= 0:
+            raise ValueError("alpha0 must be positive")
+        if self.alpha_prior is not None and (
+            self.alpha_prior[0] <= 0 or self.alpha_prior[1] <= 0
+        ):
+            raise ValueError("alpha_prior components must be positive")
+        if self.burn_in < 0 or self.iterations <= self.burn_in:
+            raise ValueError("need iterations > burn_in >= 0")
+
+
+class _Model:
+    """Prepared hyperparameters plus lookup tables for fast marginals."""
+
+    def __init__(self, config: SamplerConfig, d: int, n_max: int):
+        self.c = float(config.c)
+        self.a = float(config.a)
+        self.mu0 = np.broadcast_to(
+            np.asarray(config.mu0, dtype=np.float64), (d,)
+        ).copy()
+        self.b = np.broadcast_to(
+            np.asarray(config.b, dtype=np.float64), (d,)
+        ).copy()
+        self.d = d
+        counts = np.arange(n_max + 2, dtype=np.float64)
+        lgam = np.vectorize(math.lgamma)(self.a + counts / 2.0)
+        # Size-dependent scalar part of the log marginal, per cluster count.
+        self.prefactor = (
+            d
+            * (
+                -counts / 2.0 * LOG_2PI
+                + 0.5 * (math.log(self.c) - np.log(self.c + counts))
+                + lgam
+                - math.lgamma(self.a)
+            )
+            + self.a * np.log(self.b).sum()
+        )
+        self.a_n = self.a + counts / 2.0
+
+    def log_marginal_stats(
+        self, n: np.ndarray, s1: np.ndarray, s2: np.ndarray
+    ) -> np.ndarray:
+        """Log marginal likelihood from sufficient statistics.
+
+        ``n`` has shape (k,), ``s1`` and ``s2`` shape (k, d); every count
+        must be at least 1.
+        """
+        nn = n[:, None].astype(np.float64)
+        b_n = (
+            self.b
+            + 0.5 * (s2 - s1**2 / nn)
+            + self.c * (s1 - nn * self.mu0) ** 2 / (2.0 * nn * (self.c + nn))
+        )
+        return self.prefactor[n] - self.a_n[n] * np.log(b_n).sum(axis=1)
+
+
+def log_marginal(cluster_points, config: SamplerConfig) -> float:
+    """Exact log marginal likelihood of one cluster's observations."""
+    pts = np.asarray(cluster_points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.size == 0:
+        raise ValueError("empty cluster")
+    model = _Model(config, pts.shape[1], pts.shape[0])
+    n = np.array([pts.shape[0]])
+    s1 = pts.sum(axis=0)[None, :]
+    s2 = (pts**2).sum(axis=0)[None, :]
+    return float(model.log_marginal_stats(n, s1, s2)[0])
+
+
+def crp_log_prior(partition: Partition, alpha: float) -> float:
+    """Log prior mass of a partition under the CRP with the given mass."""
+    n = partition.n_items
+    value = (
+        math.lgamma(alpha)
+        - math.lgamma(alpha + n)
+        + partition.k * math.log(alpha)
+    )
+    for size in partition.sizes:
+        value += math.lgamma(size)
+    return value
+
+
+class _GibbsState:
+    def __init__(self, data: Dataset, model: _Model, rng: np.random.Generator):
+        n, d = data.n, data.d
+        cap = n + 1
+        self.x = data.points
+        self.model = model
+        self.rng = rng
+        self.labels = np.full(n, -1, dtype=np.int32)
+        self.counts = np.zeros(cap, dtype=np.int64)
+        self.s1 = np.zeros((cap, d))
+        self.s2 = np.zeros((cap, d))
+        self.logm = np.zeros(cap)
+        self.k = 0
+
+    def _refresh_logm(self, slot: int):
+        self.logm[slot] = self.model.log_marginal_stats(
+            self.counts[slot : slot + 1],
+            self.s1[slot : slot + 1],
+            self.s2[slot : slot + 1],
+        )[0]
+
+    def remove(self, i: int):
+        s = self.labels[i]
+        xi = self.x[i]
+        self.counts[s] -= 1
+        self.s1[s] -= xi
+        self.s2[s] -= xi**2
+        if self.counts[s] == 0:
+            last = self.k - 1
+            if s != last:
+                self.counts[s] = self.counts[last]
+                self.s1[s] = self.s1[last]
+                self.s2[s] = self.s2[last]
+                self.logm[s] = self.logm[last]
+                self.labels[self.labels == last] = s
+            self.counts[last] = 0
+            self.s1[last] = 0.0
+            self.s2[last] = 0.0
+            self.logm[last] = 0.0
+            self.k = last
+        else:
+            self._refresh_logm(s)
+        self.labels[i] = -1
+
+    def assign(self, i: int, alpha: float):
+        """Draw a seat for item i given the current seating of the others."""
+        k = self.k
+        xi = self.x[i]
+        n_with = self.counts[: k + 1] + 1
+        s1_with = self.s1[: k + 1] + xi
+        s2_with = self.s2[: k + 1] + xi**2
+        logm_with = self.model.log_marginal_stats(n_with, s1_with, s2_with)
+        logw = logm_with - self.logm[: k + 1]
+        logw[:k] += np.log(self.counts[:k])
+        logw[k] += math.log(alpha)
+        logw -= logw.max()
+        weights = np.exp(logw)
+        weights /= weights.sum()
+        choice = int(np.searchsorted(np.cumsum(weights), self.rng.random()))
+        choice = min(choice, k)
+        self.labels[i] = choice
+        self.counts[choice] += 1
+        self.s1[choice] = s1_with[choice]
+        self.s2[choice] = s2_with[choice]
+        self.logm[choice] = logm_with[choice]
+        if choice == k:
+            self.k += 1
+
+
+def _update_alpha(
+    alpha: float,
+    k: int,
+    n: int,
+    prior: tuple[float, float],
+    rng: np.random.Generator,
+) -> float:
+    """Beta-augmentation refresh of the DP mass under a gamma prior."""
+    shape0, rate0 = prior
+    eta = rng.beta(alpha + 1.0, n)
+    rate = rate0 - math.log(eta)
+    odds = (shape0 + k - 1.0) / (n * rate)
+    shape = shape0 + k if rng.random() < odds / (1.0 + odds) else shape0 + k - 1.0
+    return float(rng.gamma(shape, 1.0 / rate))
+
+
+def gibbs_run(
+    data: Dataset, config: SamplerConfig, trace: list | None = None
+) -> DrawMatrix:
+    """Run the collapsed sampler and return post-burn-in partition draws.
+
+    Items are seated sequentially by the prior predictive to initialize,
+    then ``config.iterations`` full sweeps are performed; the partition
+    after each post-burn-in sweep becomes one row of the result.  Passing a
+    list as ``trace`` appends one (sweep, cluster_count, alpha) tuple per
+    sweep, burn-in included.
+    """
+    model = _Model(config, data.d, data.n)
+    rng = np.random.default_rng(config.seed)
+    state = _GibbsState(data, model, rng)
+    alpha = float(config.alpha0)
+    for i in range(data.n):
+        state.assign(i, alpha)
+    kept = np.empty(
+        (config.iterations - config.burn_in, data.n), dtype=np.int32
+    )
+    for sweep in range(config.iterations):
+        if config.random_scan:
+            order = rng.permutation(data.n)
+        else:
+            order = range(data.n)
+        for i in order:
+            state.remove(i)
+            state.assign(i, alpha)
+        if config.alpha_prior is not None:
+            alpha = _update_alpha(
+                alpha, state.k, data.n, config.alpha_prior, rng
+            )
+        if trace is not None:
+            trace.append((sweep, state.k, alpha))
+        if sweep >= config.burn_in:
+            kept[sweep - config.burn_in] = state.labels
+    return DrawMatrix(kept)
+
+
+EXAMPLE_LOCATIONS = np.array(
+    [[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]]
+)
+EXAMPLE_SCALES = {
+    "example1": np.array([1.0, 1.0, 1.0, 1.0]),
+    "example2": np.array([1.0, 1.5, 0.5, 1.0]),
+}
+
+
+def simulate_example(
+    which: str, n: int, seed: int = 0
+) -> tuple[Dataset, Partition]:
+    """Draw n points from one of the two bundled four-component mixtures.
+
+    Components sit at (+-2, +-2) with equal weights.  In ``example1`` every
+    component has unit standard deviation; in ``example2`` the spreads are
+    1 in the first and third quadrants, 1.5 in the fourth and 0.5 in the
+    second.  Returns the data and the true component partition.
+    """
+    if which not in EXAMPLE_SCALES:
+        raise ValueError(f"unknown example {which!r}")
+    if n < 4:
+        raise ValueError("need n >= 4")
+    rng = np.random.default_rng(seed)
+    comp = rng.integers(0, 4, size=n)
+    noise = rng.standard_normal((n, 2))
+    pts = EXAMPLE_LOCATIONS[comp] + EXAMPLE_SCALES[which][comp, None] * noise
+    return Dataset(pts), canonicalize(comp.tolist())
+
+
+def load_galaxy() -> Dataset:
+    """The bundled 82 galaxy velocities (km/sec)."""
+    text = (
+        resources.files("postclust.data").joinpath("galaxies.csv").read_text()
+    )
+    values = [float(line) for line in text.split() if line.strip()]
+    return Dataset(np.asarray(values))

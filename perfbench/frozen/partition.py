@@ -1,0 +1,210 @@
+"""Set partitions in canonical form, contingency tables, and lattice structure.
+
+A partition of N items is stored as a label sequence in first-occurrence
+canonical form: item 0 has label 0 and each new label is exactly one more
+than the largest label seen so far.  Two label sequences that differ only
+by renaming clusters map to the same canonical form, so ``Partition``
+equality is equality of clusterings.
+"""
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Sequence
+
+import numpy as np
+
+ENUMERATION_CAP = 12  # Bell(12) = 4,213,597 partitions; larger blows up
+
+
+def canonical_labels(raw: Sequence) -> tuple[int, ...]:
+    """Relabel an arbitrary label sequence into first-occurrence order."""
+    if len(raw) == 0:
+        raise ValueError("empty partition")
+    mapping: dict = {}
+    out = []
+    for x in raw:
+        code = mapping.get(x)
+        if code is None:
+            code = len(mapping)
+            mapping[x] = code
+        out.append(code)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A clustering of ``n_items`` items, in canonical label form."""
+
+    labels: tuple[int, ...]
+
+    def __post_init__(self):
+        seen = -1
+        for lab in self.labels:
+            if lab > seen + 1 or lab < 0:
+                raise ValueError(
+                    "labels are not in canonical first-occurrence form; "
+                    "use canonicalize()"
+                )
+            seen = max(seen, lab)
+        if len(self.labels) == 0:
+            raise ValueError("empty partition")
+
+    @property
+    def n_items(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def k(self) -> int:
+        """Number of clusters."""
+        return max(self.labels) + 1
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Cluster sizes, indexed by cluster label."""
+        counts = [0] * self.k
+        for lab in self.labels:
+            counts[lab] += 1
+        return tuple(counts)
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Item indices of each cluster, indexed by cluster label."""
+        members: list[list[int]] = [[] for _ in range(self.k)]
+        for i, lab in enumerate(self.labels):
+            members[lab].append(i)
+        return tuple(tuple(m) for m in members)
+
+    def __str__(self) -> str:
+        return ",".join(str(lab) for lab in self.labels)
+
+
+def canonicalize(raw_labels: Sequence) -> Partition:
+    """Build the canonical ``Partition`` from any equality-comparable labels."""
+    return Partition(canonical_labels(raw_labels))
+
+
+def one_cluster(n: int) -> Partition:
+    """The greatest lattice element: all items in a single cluster."""
+    return Partition((0,) * n)
+
+
+def singletons(n: int) -> Partition:
+    """The least lattice element: every item in its own cluster."""
+    return Partition(tuple(range(n)))
+
+
+@dataclass(frozen=True, eq=False)
+class ContingencyTable:
+    """Cross-classification counts between two partitions of the same items."""
+
+    counts: np.ndarray  # shape (k, k_hat), entry [i, j] = #{n : c_n = i, d_n = j}
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
+
+    @cached_property
+    def col_sums(self) -> np.ndarray:
+        return self.counts.sum(axis=0)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+
+def _check_same_items(c: Partition, d: Partition):
+    if c.n_items != d.n_items:
+        raise ValueError(
+            f"partitions cover different item counts: {c.n_items} vs {d.n_items}"
+        )
+
+
+def contingency(c: Partition, d: Partition) -> ContingencyTable:
+    """Count items falling in cluster i of ``c`` and cluster j of ``d``."""
+    _check_same_items(c, d)
+    counts = np.zeros((c.k, d.k), dtype=np.int64)
+    for ci, di in zip(c.labels, d.labels):
+        counts[ci, di] += 1
+    return ContingencyTable(counts)
+
+
+def meet(c: Partition, d: Partition) -> Partition:
+    """Greatest lower bound: co-cluster items co-clustered in both inputs."""
+    _check_same_items(c, d)
+    return canonicalize(list(zip(c.labels, d.labels)))
+
+
+def join(c: Partition, d: Partition) -> Partition:
+    """Least upper bound: connected components of the union of both
+    co-clustering relations.
+
+    Implemented with union-find; linking each item to the first member of
+    its cluster in either partition gives the full transitive closure.
+    """
+    _check_same_items(c, d)
+    n = c.n_items
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    for part in (c, d):
+        first_member: dict[int, int] = {}
+        for i, lab in enumerate(part.labels):
+            if lab in first_member:
+                union(first_member[lab], i)
+            else:
+                first_member[lab] = i
+    return canonicalize([find(i) for i in range(n)])
+
+
+def leq(c: Partition, d: Partition) -> bool:
+    """True iff every cluster of ``c`` is contained in some cluster of ``d``."""
+    _check_same_items(c, d)
+    seen: dict[int, int] = {}
+    for ci, di in zip(c.labels, d.labels):
+        prev = seen.setdefault(ci, di)
+        if prev != di:
+            return False
+    return True
+
+
+def covers(d: Partition, c: Partition) -> bool:
+    """True iff ``d`` merges exactly two clusters of ``c`` (a Hasse edge)."""
+    _check_same_items(c, d)
+    return d.k == c.k - 1 and leq(c, d)
+
+
+def enumerate_partitions(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Partition]:
+    """Yield every partition of ``n`` items exactly once, in canonical form.
+
+    Partitions are produced as restricted-growth strings in lexicographic
+    order, so the stream is deterministic.  The count equals the n-th Bell
+    number, which explodes quickly; ``cap`` guards against runaway loops.
+    """
+    if n < 1:
+        raise ValueError("empty partition")
+    if n > cap:
+        raise ValueError(f"enumeration too large: n={n} exceeds cap {cap}")
+    labels = [0] * n
+    maxima = [0] * n  # maxima[i] = max(labels[: i + 1])
+    while True:
+        yield Partition(tuple(labels))
+        i = n - 1
+        while i > 0 and labels[i] > maxima[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        labels[i] += 1
+        maxima[i] = max(maxima[i - 1], labels[i])
+        for j in range(i + 1, n):
+            labels[j] = 0
+            maxima[j] = maxima[i]
