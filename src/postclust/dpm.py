@@ -11,10 +11,16 @@ times the prior-predictive density.  The mass parameter either stays fixed
 or is refreshed once per sweep under a gamma hyperprior via the usual
 beta-augmentation step.
 
+Clusters keep sums s1, s2 of the data centred at mu0, so the posterior rate
+is ``b + s2/2 - s1**2 / (2 (c + n))``; each reassignment evaluates the
+cluster the item left and every candidate seat in one vectorised call.
+
 One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
 consumed by the summary tools.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -75,6 +81,12 @@ class SamplerConfig:
     random_scan: bool = False
 
     def __post_init__(self):
+        for name in ("mu0", "c", "a", "b", "alpha0", "alpha_prior"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(
+                np.asarray(value, dtype=np.float64)
+            ).all():
+                raise ValueError(f"{name} must be finite")
         if self.c <= 0 or self.a <= 0:
             raise ValueError("c and a must be positive")
         if np.any(np.asarray(self.b, dtype=np.float64) <= 0):
@@ -116,22 +128,25 @@ class _Model:
             + self.a * np.log(self.b).sum()
         )
         self.a_n = self.a + counts / 2.0
+        self.g = (0.5 / (self.c + counts))[:, None]
 
     def log_marginal_stats(
-        self, n: np.ndarray, s1: np.ndarray, s2: np.ndarray
+        self, n: np.ndarray, stats: np.ndarray
     ) -> np.ndarray:
-        """Log marginal likelihood from sufficient statistics.
+        """Log marginal likelihood from centred sufficient statistics.
 
-        ``n`` has shape (k,), ``s1`` and ``s2`` shape (k, d); every count
-        must be at least 1.
+        ``n`` has shape (k,); row j of ``stats`` (shape (k, 2d)) holds the
+        per-dimension sums s1 of cluster j's points minus mu0, then
+        ``b + s2/2`` with s2 the sums of their squares.
         """
-        nn = n[:, None].astype(np.float64)
-        b_n = (
-            self.b
-            + 0.5 * (s2 - s1**2 / nn)
-            + self.c * (s1 - nn * self.mu0) ** 2 / (2.0 * nn * (self.c + nn))
-        )
-        return self.prefactor[n] - self.a_n[n] * np.log(b_n).sum(axis=1)
+        s1, half_s2 = stats[:, : self.d], stats[:, self.d :]
+        rate = half_s2 - s1 * s1 * self.g[n]
+        return self.prefactor[n] - self.a_n[n] * np.log(rate).sum(axis=1)
+
+    def item_stats(self, points: np.ndarray) -> np.ndarray:
+        """Per-item rows [x - mu0, (x - mu0)**2 / 2], summed into ``stats``."""
+        x = points - self.mu0
+        return np.hstack([x, 0.5 * x * x])
 
 
 def log_marginal(cluster_points, config: SamplerConfig) -> float:
@@ -142,10 +157,10 @@ def log_marginal(cluster_points, config: SamplerConfig) -> float:
     if pts.size == 0:
         raise ValueError("empty cluster")
     model = _Model(config, pts.shape[1], pts.shape[0])
+    stats = model.item_stats(pts).sum(axis=0, keepdims=True)
+    stats[:, model.d :] += model.b
     n = np.array([pts.shape[0]])
-    s1 = pts.sum(axis=0)[None, :]
-    s2 = (pts**2).sum(axis=0)[None, :]
-    return float(model.log_marginal_stats(n, s1, s2)[0])
+    return float(model.log_marginal_stats(n, stats)[0])
 
 
 def crp_log_prior(partition: Partition, alpha: float) -> float:
@@ -162,70 +177,67 @@ def crp_log_prior(partition: Partition, alpha: float) -> float:
 
 
 class _GibbsState:
-    def __init__(self, data: Dataset, model: _Model, rng: np.random.Generator):
-        n, d = data.n, data.d
-        cap = n + 1
-        self.x = data.points
-        self.model = model
-        self.rng = rng
-        self.labels = np.full(n, -1, dtype=np.int32)
-        self.counts = np.zeros(cap, dtype=np.int64)
-        self.s1 = np.zeros((cap, d))
-        self.s2 = np.zeros((cap, d))
-        self.logm = np.zeros(cap)
-        self.k = 0
+    """Per-slot counts, centred sums and log marginals of the seating.
+    :meth:`assign` recomputes ``logm[stale]``, the slot :meth:`remove` last
+    left (or the empty slot), in one call with the candidate seats."""
 
-    def _refresh_logm(self, slot: int):
-        self.logm[slot] = self.model.log_marginal_stats(
-            self.counts[slot : slot + 1],
-            self.s1[slot : slot + 1],
-            self.s2[slot : slot + 1],
-        )[0]
+    def __init__(self, data: Dataset, model: _Model):
+        cap = data.n + 1
+        self.z = model.item_stats(data.points)
+        self.model = model
+        self.labels = np.full(data.n, -1, dtype=np.int32)
+        self.counts = np.zeros(cap, dtype=np.int64)
+        self.empty = np.concatenate([np.zeros(data.d), model.b])
+        self.stats = np.tile(self.empty, (cap, 1))
+        self.logm = np.zeros(cap)
+        self.rows = np.empty((cap + 1, 2 * data.d))
+        self.n_rows = np.empty(cap + 1, dtype=np.int64)
+        # CRP weights by cluster size: log n, with log alpha at size 0.
+        self.log_crp = np.log(np.maximum(np.arange(cap), 1.0))
+        self.k = self.stale = 0
+
+    def set_alpha(self, alpha: float):
+        self.log_crp[0] = math.log(alpha)
 
     def remove(self, i: int):
         s = self.labels[i]
-        xi = self.x[i]
         self.counts[s] -= 1
-        self.s1[s] -= xi
-        self.s2[s] -= xi**2
+        self.stats[s] -= self.z[i]
+        self.stale = s
         if self.counts[s] == 0:
             last = self.k - 1
             if s != last:
                 self.counts[s] = self.counts[last]
-                self.s1[s] = self.s1[last]
-                self.s2[s] = self.s2[last]
+                self.stats[s] = self.stats[last]
                 self.logm[s] = self.logm[last]
                 self.labels[self.labels == last] = s
             self.counts[last] = 0
-            self.s1[last] = 0.0
-            self.s2[last] = 0.0
+            self.stats[last] = self.empty
             self.logm[last] = 0.0
-            self.k = last
-        else:
-            self._refresh_logm(s)
+            self.k = self.stale = last
         self.labels[i] = -1
 
-    def assign(self, i: int, alpha: float):
-        """Draw a seat for item i given the current seating of the others."""
-        k = self.k
-        xi = self.x[i]
-        n_with = self.counts[: k + 1] + 1
-        s1_with = self.s1[: k + 1] + xi
-        s2_with = self.s2[: k + 1] + xi**2
-        logm_with = self.model.log_marginal_stats(n_with, s1_with, s2_with)
-        logw = logm_with - self.logm[: k + 1]
-        logw[:k] += np.log(self.counts[:k])
-        logw[k] += math.log(alpha)
-        logw -= logw.max()
-        weights = np.exp(logw)
-        weights /= weights.sum()
-        choice = int(np.searchsorted(np.cumsum(weights), self.rng.random()))
-        choice = min(choice, k)
+    def assign(self, i: int, u: float):
+        """Seat item i given the others, using the uniform draw u."""
+        k, rows, n_rows = self.k, self.rows, self.n_rows
+        np.add(self.stats[: k + 1], self.z[i], out=rows[: k + 1])
+        np.add(self.counts[: k + 1], 1, out=n_rows[: k + 1])
+        rows[k + 1] = self.stats[self.stale]
+        n_rows[k + 1] = self.counts[self.stale]
+        logm = self.model.log_marginal_stats(
+            n_rows[: k + 2], rows[: k + 2]
+        )
+        self.logm[self.stale] = logm[k + 1]
+        logw = logm[: k + 1] - self.logm[: k + 1]
+        # At the usual handful of clusters, Python floats beat numpy calls.
+        logw = (logw + self.log_crp[self.counts[: k + 1]]).tolist()
+        top = max(logw)
+        cum = list(itertools.accumulate([math.exp(w - top) for w in logw]))
+        choice = bisect.bisect_left(cum, u * cum[-1])
         self.labels[i] = choice
         self.counts[choice] += 1
-        self.s1[choice] = s1_with[choice]
-        self.s2[choice] = s2_with[choice]
-        self.logm[choice] = logm_with[choice]
+        self.stats[choice] = rows[choice]
+        self.logm[choice] = logm[choice]
         if choice == k:
             self.k += 1
 
@@ -259,25 +271,27 @@ def gibbs_run(
     """
     model = _Model(config, data.d, data.n)
     rng = np.random.default_rng(config.seed)
-    state = _GibbsState(data, model, rng)
+    state = _GibbsState(data, model)
     alpha = float(config.alpha0)
-    for i in range(data.n):
-        state.assign(i, alpha)
+    state.set_alpha(alpha)
+    for i, u in enumerate(rng.random(data.n).tolist()):
+        state.assign(i, u)
     kept = np.empty(
         (config.iterations - config.burn_in, data.n), dtype=np.int32
     )
     for sweep in range(config.iterations):
         if config.random_scan:
-            order = rng.permutation(data.n)
+            order = rng.permutation(data.n).tolist()
         else:
             order = range(data.n)
-        for i in order:
+        for i, u in zip(order, rng.random(data.n).tolist()):
             state.remove(i)
-            state.assign(i, alpha)
+            state.assign(i, u)
         if config.alpha_prior is not None:
             alpha = _update_alpha(
                 alpha, state.k, data.n, config.alpha_prior, rng
             )
+            state.set_alpha(alpha)
         if trace is not None:
             trace.append((sweep, state.k, alpha))
         if sweep >= config.burn_in:

@@ -1,0 +1,63 @@
+"""End-to-end CLI run and the exit-code contract (0 ok, 2 usage, 3 data)."""
+
+import json
+
+import pytest
+
+from postclust import cli
+
+
+def test_simulate_sample_estimate_ball_round_trip(tmp_path):
+    data, truth = tmp_path / "data.csv", tmp_path / "truth.txt"
+    draws, est, ball = (tmp_path / name for name in
+                        ("draws.csv", "est.json", "ball.json"))
+    assert cli.main(["simulate", "example1", "--n", "12",
+                     "--out-data", str(data), "--out-labels", str(truth)]) == 0
+    assert cli.main(["sample", str(data), str(draws), "--iterations", "30",
+                     "--burn-in", "5", "--seed", "4"]) == 0
+    assert len(draws.read_text().splitlines()) == 25
+    assert cli.main(["estimate", str(draws), "--out", str(est)]) == 0
+    labels = json.loads(est.read_text())["labels"]
+    assert len(labels.split(",")) == 12
+    assert cli.main(["ball", str(draws), labels, "--out", str(ball)]) == 0
+    assert json.loads(ball.read_text())["coverage"] >= 0.95
+
+    for out, command, inputs in [
+        (data, "simulate", []),
+        (draws, "sample", [str(data)]),
+        (est, "estimate", [str(draws)]),
+        (ball, "ball", [str(draws), labels]),
+    ]:
+        manifest = json.loads(
+            (tmp_path / (out.name + ".manifest.json")).read_text()
+        )
+        assert manifest["command"] == command
+        assert manifest["inputs"] == inputs
+    sample_manifest = json.loads(
+        (tmp_path / "draws.csv.manifest.json").read_text()
+    )
+    assert sample_manifest["seed"] == 4
+    assert sample_manifest["config"]["iterations"] == 30
+
+
+def test_non_finite_data_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("1.0\n2.5\nnan\n4.0\n")
+    code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
+                     "--iterations", "3", "--burn-in", "0"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_hyperparameter_is_a_data_error(tmp_path):
+    data = tmp_path / "ok.csv"
+    data.write_text("1.0\n2.5\n3.0\n4.0\n")
+    code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
+                     "--iterations", "3", "--burn-in", "0", "--b", "nan"])
+    assert code == 3
+
+
+def test_unknown_metric_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", str(tmp_path / "draws.csv"), "--metric", "rand"])
+    assert exc.value.code == 2

@@ -1,0 +1,184 @@
+"""Sampler checks: exact posterior, closed-form marginals, pinned chains."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from postclust import (
+    Dataset,
+    SamplerConfig,
+    canonicalize,
+    crp_log_prior,
+    gibbs_run,
+    load_galaxy,
+    log_marginal,
+)
+from postclust.dpm import _update_alpha
+
+from conftest import all_partitions, partition_index
+
+
+def t_logpdf(x, nu, loc, scale2):
+    z = (x - loc) ** 2 / (nu * scale2)
+    return (
+        math.lgamma((nu + 1) / 2)
+        - math.lgamma(nu / 2)
+        - 0.5 * math.log(nu * math.pi * scale2)
+        - (nu + 1) / 2 * math.log1p(z)
+    )
+
+
+def sequential_predictive(points, config):
+    """Log marginal by the chain rule over Student-t posterior predictives."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    d = pts.shape[1]
+    mu0 = np.broadcast_to(np.asarray(config.mu0, dtype=np.float64), (d,))
+    b0 = np.broadcast_to(np.asarray(config.b, dtype=np.float64), (d,))
+    total = 0.0
+    for j in range(d):
+        c, mu, a, b = config.c, mu0[j], config.a, b0[j]
+        for x in pts[:, j]:
+            total += t_logpdf(x, 2 * a, mu, b * (c + 1) / (a * c))
+            b += c * (x - mu) ** 2 / (2 * (c + 1))
+            mu = (c * mu + x) / (c + 1)
+            c += 1
+            a += 0.5
+    return total
+
+
+class TestLogMarginal:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chain_rule(self, rng, d):
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            pts = rng.normal(0.5, 2.0, size=(n, d))
+            config = SamplerConfig(
+                mu0=rng.normal(size=d).tolist() if d > 1 else 0.3,
+                c=float(rng.uniform(0.2, 3.0)),
+                a=float(rng.uniform(0.5, 4.0)),
+                b=rng.uniform(0.2, 3.0, size=d).tolist(),
+            )
+            got = log_marginal(pts if d > 1 else pts[:, 0], config)
+            assert got == pytest.approx(
+                sequential_predictive(pts, config), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("shift", [1e3, -2.5e4])
+    def test_joint_shift_of_data_and_mu0(self, rng, shift):
+        pts = rng.normal(0.0, 1.5, size=(7, 2))
+        base = SamplerConfig(mu0=[0.2, -0.4], c=0.7, a=2.0, b=[1.0, 0.5])
+        moved = SamplerConfig(
+            mu0=[0.2 + shift, -0.4 + shift], c=0.7, a=2.0, b=[1.0, 0.5]
+        )
+        assert log_marginal(pts + shift, moved) == pytest.approx(
+            log_marginal(pts, base), rel=1e-9
+        )
+
+
+class TestExactPosterior:
+    POINTS = [-1.3, -1.0, 0.2, 1.4, 1.6]
+    ALPHA = 1.5
+
+    def config(self, seed):
+        return SamplerConfig(
+            mu0=0.0, c=0.5, a=2.0, b=0.5, alpha0=self.ALPHA,
+            alpha_prior=None, iterations=5050, burn_in=50, seed=seed,
+        )
+
+    def exact(self, config):
+        logp = np.array([
+            crp_log_prior(p, self.ALPHA)
+            + sum(
+                log_marginal([self.POINTS[i] for i in block], config)
+                for block in p.clusters
+            )
+            for p in all_partitions(5)
+        ])
+        probs = np.exp(logp - logp.max())
+        return probs / probs.sum()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_total_variation_to_exact(self, seed):
+        config = self.config(seed)
+        draws = gibbs_run(Dataset(self.POINTS), config).draws
+        index = partition_index(5)
+        freq = np.bincount(
+            [index[canonicalize(row.tolist()).labels] for row in draws],
+            minlength=len(all_partitions(5)),
+        ) / draws.shape[0]
+        tv = 0.5 * np.abs(freq - self.exact(config)).sum()
+        assert tv <= 0.06
+
+
+class TestAlphaUpdate:
+    def test_leaves_mass_posterior_invariant(self):
+        k, n, prior = 3, 20, (1.0, 1.0)
+        # Quadrature of Gamma(a; 1, 1) a^k Gamma(a) / Gamma(a + n).
+        grid = np.linspace(1e-6, 40.0, 40_001)
+        log_dens = np.array([
+            -a + k * math.log(a) + math.lgamma(a) - math.lgamma(a + n)
+            for a in grid
+        ])
+        dens = np.exp(log_dens - log_dens.max())
+        exact_mean = (grid * dens).sum() / dens.sum()
+        assert exact_mean == pytest.approx(0.8431, abs=5e-4)
+
+        rng = np.random.default_rng(7)
+        alpha = 1.0
+        chain = np.empty(20_000)
+        for t in range(chain.size):
+            alpha = _update_alpha(alpha, k, n, prior, rng)
+            chain[t] = alpha
+        batches = chain.reshape(100, 200).mean(axis=1)
+        stderr = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert abs(chain.mean() - exact_mean) <= 4 * stderr
+
+
+def _chain_sha(config):
+    draws = gibbs_run(load_galaxy(), config).draws
+    return hashlib.sha256(draws.astype(np.int64).tobytes()).hexdigest()
+
+
+class TestChainPin:
+    """Sha256 of 60-sweep galaxy chains, recorded before the sweep was
+    vectorised; a faster sampler must reproduce the same label arrays."""
+
+    @staticmethod
+    def base():
+        pts = load_galaxy().points
+        return dict(
+            mu0=float(pts.mean()), c=0.5, a=2.0,
+            b=float(pts.var(ddof=1)), iterations=60,
+        )
+
+    @pytest.mark.parametrize("extra, digest", [
+        (dict(seed=1),
+         "744cf64175ba8f1a04e8887fbed646dd70a1286972979b3c557c3bbfd77b85f3"),
+        (dict(seed=2, random_scan=True),
+         "a87a2cb1e8fed3f43ac6d9c0604ad982c86f1a5bccfdbb3c7db242fb04ee0d5d"),
+        (dict(seed=3, alpha_prior=None, alpha0=2.0),
+         "26555322c2e55e5552db9e5d06238ac9f8acbea951945707e37c72fe4a5c7039"),
+    ], ids=["gamma-prior", "random-scan", "fixed-alpha"])
+    def test_chain_is_pinned(self, extra, digest):
+        assert _chain_sha(SamplerConfig(**self.base(), **extra)) == digest
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", math.inf),
+        ("mu0", [0.0, math.nan]),
+        ("c", math.nan),
+        ("a", math.inf),
+        ("b", math.nan),
+        ("b", [1.0, math.inf]),
+        ("alpha0", math.nan),
+        ("alpha_prior", (math.nan, 1.0)),
+        ("alpha_prior", (1.0, math.inf)),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerConfig(**{field: value})
