@@ -115,6 +115,7 @@ def _cmd_estimate(args, argv) -> int:
     init = args.init
     if init not in ("best", "last"):
         init = _read_partition(init)
+    psm = similarity_matrix(draws)
     result = greedy_search(draws, _search_config(args, init))
     for extra in range(1, args.restarts):
         config = _search_config(args, init)
@@ -122,7 +123,6 @@ def _cmd_estimate(args, argv) -> int:
         other = greedy_search(draws, config)
         if other.expected_loss < result.expected_loss:
             result = other
-    psm = similarity_matrix(draws)
     optimum = result.optimum
     payload = {
         "labels": str(optimum),
@@ -200,6 +200,10 @@ def _parse_hyper(value: str, data: np.ndarray, kind: str):
 
 
 def _cmd_sample(args, argv) -> int:
+    if args.iterations <= args.burn_in:
+        print(f"error: --iterations ({args.iterations}) must exceed "
+              f"--burn-in ({args.burn_in})", file=sys.stderr)
+        return 2
     raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
     data = Dataset(raw)
     config = SamplerConfig(

@@ -14,11 +14,10 @@ merge/split moves used by ``closest_neighbors``.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .partition import Partition, canonicalize, contingency
+from .partition import Partition, contingency
 
 __all__ = [
     "Metric",
@@ -147,65 +146,143 @@ class NeighborCandidate:
     delta: float  # exact distance from the source partition
 
 
-def _merge_candidates(c: Partition, metric: Metric) -> list[NeighborCandidate]:
-    sizes = c.sizes
-    out = []
-    for i in range(c.k):
-        for j in range(i + 1, c.k):
-            merged = canonicalize(
-                [i if lab == j else lab for lab in c.labels]
-            )
-            delta = merge_delta((sizes[i], sizes[j]), c.n_items, metric)
-            out.append(NeighborCandidate(merged, "merge-up", delta))
-    return out
+@dataclass(frozen=True, eq=False)
+class _Moves:
+    """The neighbours ``closest_neighbors`` returns, as arrays in its order.
+
+    Row t is one candidate: ``labels[t]`` its canonical labels, ``delta[t]``
+    its distance from the source and ``merge[t]`` its direction.  A merge
+    joins clusters ``pair[t] = (a, b)`` with a < b.  A split cuts cluster
+    ``pair[t, 0]`` in two; ``part[t]`` marks the piece that does not hold
+    the cluster's first item, and is all False for a merge.
+    """
+
+    labels: np.ndarray  # (C, N) int
+    delta: np.ndarray  # (C,) float
+    merge: np.ndarray  # (C,) bool
+    pair: np.ndarray  # (C, 2) int; (cluster, -1) for a split
+    part: np.ndarray  # (C, N) bool
+
+    def __len__(self) -> int:
+        return self.delta.shape[0]
 
 
-def _apply_split(c: Partition, part_a: Iterable[int]) -> Partition:
-    new_label = c.k
-    labels = list(c.labels)
-    for idx in part_a:
-        labels[idx] = new_label
-    return canonicalize(labels)
+def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
+    """``merge_delta((first[t], second[t]))`` for every t, one call per
+    distinct size pair, so each value has the bits of the scalar function."""
+    codes = np.asarray(first, dtype=np.int64) * (n + 1) + np.asarray(second)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = np.array(
+        [merge_delta(divmod(int(code), n + 1), n, metric) for code in distinct]
+    )
+    return table[inverse.ravel()]
 
 
-def _split_candidates(
+def _split_parts(
     c: Partition,
-    metric: Metric,
     rng: np.random.Generator,
     balanced_samples: int,
     exhaustive_limit: int,
-) -> list[NeighborCandidate]:
-    n = c.n_items
-    out: dict[tuple[int, ...], NeighborCandidate] = {}
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every generated split as (split cluster, moved-count m, part mask).
 
-    def add(members: Sequence[int], chosen: Sequence[int]):
-        size = len(members)
-        m = len(chosen)
-        cand = _apply_split(c, chosen)
-        if cand.labels in out:
-            return
-        delta = split_delta((m, size - m), n, metric)
-        out[cand.labels] = NeighborCandidate(cand, "split-down", delta)
-
-    for members in c.clusters:
+    m counts the items the enumeration moves to the new cluster, which
+    sets the argument order of the split's delta.  The mask marks the
+    piece without the cluster's first item, so two draws of one split get
+    one mask.
+    """
+    clusters, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    blocks = [np.zeros((0, c.n_items), dtype=bool)]
+    for label, members in enumerate(c.clusters):
         size = len(members)
         if size < 2:
             continue
         if size <= exhaustive_limit:
-            # All binary splits: enumerate subsets of members[1:] joined to
-            # members[0]; the complement forms the peeled-off part.
-            rest = members[1:]
-            for mask in range(2 ** len(rest) - 1):
-                chosen = [rest[t] for t in range(len(rest)) if not mask >> t & 1]
-                add(members, chosen)
+            # All binary splits: the items of members[1:] whose bit is
+            # clear in the mask move; members[0] always stays.
+            masks = np.arange(2 ** (size - 1) - 1)[:, None]
+            moved = np.zeros((masks.shape[0], size), dtype=bool)
+            moved[:, 1:] = (masks >> np.arange(size - 1)) & 1 == 0
         else:
-            for idx in members:
-                add(members, (idx,))
-            for m in range(2, size // 2 + 1):
-                for _ in range(balanced_samples):
-                    chosen = rng.choice(len(members), size=m, replace=False)
-                    add(members, [members[t] for t in chosen])
-    return list(out.values())
+            # Every single-item peel-off, then seeded random splits per
+            # coarser size profile, drawn in the order the seed fixes.
+            picks = [
+                rng.choice(size, size=m, replace=False)
+                for m in range(2, size // 2 + 1)
+                for _ in range(balanced_samples)
+            ]
+            moved = np.zeros((size + len(picks), size), dtype=bool)
+            moved[np.arange(size), np.arange(size)] = True
+            for row, pick in enumerate(picks, start=size):
+                moved[row, pick] = True
+        counts.append(moved.sum(axis=1))
+        block = np.zeros((moved.shape[0], c.n_items), dtype=bool)
+        block[:, members] = moved ^ moved[:, :1]
+        blocks.append(block)
+        clusters.append(np.full(moved.shape[0], label))
+    return np.concatenate(clusters), np.concatenate(counts), np.concatenate(blocks)
+
+
+def _neighbor_moves(
+    c: Partition,
+    metric: Metric,
+    l: int,
+    rng_seed: int = 0,
+    balanced_samples: int = 5,
+    exhaustive_split_limit: int = 8,
+) -> _Moves:
+    """The array form of ``closest_neighbors``: same candidates, same order.
+
+    No candidate's labels are built to rank it.  A merge of (a, b) first
+    changes the labels at b's first item, lowering it to a; a split first
+    changes them at the first item f of its part, raising it.  So at equal
+    distance merges precede splits, merges rank by (b, a), splits rank by
+    descending f and then by the part mask read as a bit string.
+    """
+    if l < 1:
+        raise ValueError("candidate budget l must be >= 1")
+    n, sizes = c.n_items, np.asarray(c.sizes)
+    a, b = np.triu_indices(c.k, 1)
+    m_delta = _pair_deltas(sizes[a], sizes[b], n, metric)
+    m_pick = np.lexsort((a, b, m_delta))[:l]
+
+    rng = np.random.default_rng(rng_seed)
+    cluster, moved, part = _split_parts(
+        c, rng, balanced_samples, exhaustive_split_limit
+    )
+    # Each mask as one byte string: numpy orders and dedups those bytewise,
+    # which for packed bits is the lexicographic order of the masks.
+    keys = np.packbits(part, axis=1)
+    keys = keys.view(f"S{keys.shape[1]}").ravel()
+    _, keep = np.unique(keys, return_index=True)
+    cluster, part, keys = cluster[keep], part[keep], keys[keep]
+    s_delta = _pair_deltas(moved[keep], sizes[cluster] - moved[keep], n, metric)
+    head = part.argmax(axis=1)
+    s_pick = np.lexsort((keys, -head, s_delta))[:l]
+
+    n_merge, n_split = m_pick.shape[0], s_pick.shape[0]
+    delta = np.concatenate([m_delta[m_pick], s_delta[s_pick]])
+    merge = np.arange(n_merge + n_split) < n_merge
+    rank = np.concatenate([np.arange(n_merge), np.arange(n_split)])
+    order = np.lexsort((rank, ~merge, delta))
+
+    labels = np.asarray(c.labels)
+    ma, mb = a[m_pick, None], b[m_pick, None]
+    merged = np.where(labels == mb, ma, labels) - (labels > mb)
+    firsts = np.asarray([members[0] for members in c.clusters])
+    new = np.searchsorted(firsts, head[s_pick])[:, None]
+    split = np.where(part[s_pick], new, labels + (labels >= new))
+    pair = np.concatenate([
+        np.stack([a[m_pick], b[m_pick]], axis=1),
+        np.stack([cluster[s_pick], np.full(n_split, -1)], axis=1),
+    ])
+    return _Moves(
+        labels=np.concatenate([merged, split])[order],
+        delta=delta[order],
+        merge=merge[order],
+        pair=pair[order],
+        part=np.concatenate([np.zeros((n_merge, n), dtype=bool), part[s_pick]])[order],
+    )
 
 
 def closest_neighbors(
@@ -227,14 +304,20 @@ def closest_neighbors(
     splits while the random coarser ones widen the search.  Ties are broken
     by the candidate's canonical label sequence, so identical inputs always
     give identical output.
+
+    This is a view of the array generator the greedy search uses, which
+    describes each candidate by its move (the two merged clusters, or the
+    split cluster and the piece cut off) so that the search can score it
+    by its loss change without building a ``Partition``.
     """
-    if l < 1:
-        raise ValueError("candidate budget l must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    key = lambda cand: (cand.delta, cand.partition.labels)
-    merges = sorted(_merge_candidates(c, metric), key=key)[:l]
-    splits = sorted(
-        _split_candidates(c, metric, rng, balanced_samples, exhaustive_split_limit),
-        key=key,
-    )[:l]
-    return sorted(merges + splits, key=key)
+    moves = _neighbor_moves(
+        c, metric, l, rng_seed, balanced_samples, exhaustive_split_limit
+    )
+    return [
+        NeighborCandidate(
+            Partition(tuple(row)), "merge-up" if up else "split-down", delta
+        )
+        for row, up, delta in zip(
+            moves.labels.tolist(), moves.merge.tolist(), moves.delta.tolist()
+        )
+    ]

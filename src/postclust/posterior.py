@@ -29,14 +29,28 @@ ESTIMATORS = ("exact", "lower-bound")
 
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
-    """Relabel every row into first-occurrence canonical form."""
+    """Relabel every row into first-occurrence canonical form.
+
+    A stable sort of each row groups equal labels with their first
+    occurrence in front; an item's canonical label is the number of
+    first occurrences before the first occurrence of its own label.
+    Blocks of 64 rows keep the temporaries small.
+    """
+    cols = np.arange(a.shape[1])
     out = np.empty(a.shape, dtype=np.int32)
-    for m in range(a.shape[0]):
-        _, first, inverse = np.unique(a[m], return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(order.shape[0], dtype=np.int32)
-        rank[order] = np.arange(order.shape[0], dtype=np.int32)
-        out[m] = rank[inverse]
+    for lo in range(0, a.shape[0], 64):
+        block = a[lo : lo + 64]
+        order = np.argsort(block, axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        starts = np.ones(block.shape, dtype=bool)
+        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        group_start = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
+        first = np.empty_like(order)  # first[r, i]: first item with i's label
+        np.put_along_axis(
+            first, order, np.take_along_axis(order, group_start, axis=1), axis=1
+        )
+        seen = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
+        out[lo : lo + 64] = np.take_along_axis(seen, first, axis=1)
     return out
 
 
@@ -64,6 +78,11 @@ class DrawMatrix:
 
     def row(self, m: int) -> Partition:
         return Partition(tuple(int(x) for x in self.draws[m]))
+
+    @cached_property
+    def similarity(self) -> "SimilarityMatrix":
+        """The similarity matrix, built once per draw matrix."""
+        return _co_clustering(self, chunk=128)
 
     # -- cached per-draw statistics used by the vectorized estimators ------
 
@@ -161,8 +180,7 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(np.asarray(rows, dtype=np.int64))
 
 
-def similarity_matrix(draws: DrawMatrix, chunk: int = 128) -> SimilarityMatrix:
-    """Fraction of draws co-clustering each item pair; symmetric, unit diagonal."""
+def _co_clustering(draws: DrawMatrix, chunk: int) -> SimilarityMatrix:
     n = draws.n
     counts = np.zeros((n, n), dtype=np.int64)
     a = draws.draws
@@ -170,6 +188,18 @@ def similarity_matrix(draws: DrawMatrix, chunk: int = 128) -> SimilarityMatrix:
         block = a[start : start + chunk]
         counts += (block[:, :, None] == block[:, None, :]).sum(axis=0)
     return SimilarityMatrix(counts / draws.m)
+
+
+def similarity_matrix(draws: DrawMatrix, chunk: int | None = None) -> SimilarityMatrix:
+    """Fraction of draws co-clustering each item pair; symmetric, unit diagonal.
+
+    Without ``chunk`` this is the matrix cached on ``draws``, so it is built
+    once however often it is asked for.  With ``chunk``, a fresh matrix is
+    built that many draws at a time (memory grows as chunk * N^2).
+    """
+    if chunk is None:
+        return draws.similarity
+    return _co_clustering(draws, chunk)
 
 
 def _check_candidate(candidate: Partition, n: int):
@@ -262,25 +292,19 @@ def expected_loss(
     """Dispatch to the configured posterior expected-loss estimator."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if metric is Metric.BINDER:
-        if estimator != "exact":
-            raise ValueError("the lower-bound estimator applies only to the "
-                             "variation of information")
-        if psm is None:
-            psm = similarity_matrix(draws)
-        return expected_binder(candidate, psm)
-    if estimator == "exact":
+    if metric is Metric.BINDER and estimator != "exact":
+        raise ValueError("the lower-bound estimator applies only to the "
+                         "variation of information")
+    if metric is Metric.VI and estimator == "exact":
         return expected_vi(candidate, draws)
-    if psm is None:
-        psm = similarity_matrix(draws)
+    psm = draws.similarity if psm is None else psm
+    if metric is Metric.BINDER:
+        return expected_binder(candidate, psm)
     return expected_vi_lower(candidate, psm, draws)
 
 
 def best_sampled(
-    draws: DrawMatrix,
-    metric: Metric,
-    estimator: str = "exact",
-    psm: SimilarityMatrix | None = None,
+    draws: DrawMatrix, metric: Metric, estimator: str = "exact"
 ) -> tuple[Partition, float]:
     """The sampled partition minimizing the chosen posterior expected loss.
 
@@ -289,12 +313,10 @@ def best_sampled(
     """
     uniques, first = np.unique(draws.draws, axis=0, return_index=True)
     order = np.argsort(first, kind="stable")
-    if psm is None and (metric is Metric.BINDER or estimator == "lower-bound"):
-        psm = similarity_matrix(draws)
     best = None
     for idx in order:
         candidate = Partition(tuple(int(x) for x in uniques[idx]))
-        loss = expected_loss(candidate, draws, metric, estimator, psm)
+        loss = expected_loss(candidate, draws, metric, estimator)
         if best is None or loss < best[0]:
             best = (loss, candidate)
     return best[1], best[0]

@@ -10,7 +10,9 @@ from postclust import (
     Metric,
     Partition,
     binder,
+    canonicalize,
     enumerate_partitions,
+    merge_delta,
     vi,
 )
 
@@ -81,6 +83,56 @@ def synthetic_draws(
     weights = rng.dirichlet(np.ones(len(pool)))
     picks = rng.choice(len(pool), size=m, p=weights)
     return DrawMatrix(np.asarray([pool[p] for p in picks], dtype=np.int64))
+
+
+def reference_neighbors(
+    c: Partition,
+    metric: Metric,
+    l: int,
+    rng_seed: int = 0,
+    balanced_samples: int = 5,
+    exhaustive_limit: int = 8,
+) -> list[tuple[tuple[int, ...], str, float]]:
+    """``closest_neighbors`` written as a plain loop over label lists:
+    (labels, direction, delta) per candidate, in the same order."""
+    key = lambda cand: (cand[2], cand[0])
+    merges = []
+    for i in range(c.k):
+        for j in range(i + 1, c.k):
+            merged = canonicalize([i if lab == j else lab for lab in c.labels])
+            delta = merge_delta((c.sizes[i], c.sizes[j]), c.n_items, metric)
+            merges.append((merged.labels, "merge-up", delta))
+    rng = np.random.default_rng(rng_seed)
+    splits: dict[tuple[int, ...], tuple] = {}
+
+    def add(members, chosen):
+        labels = list(c.labels)
+        for idx in chosen:
+            labels[idx] = c.k
+        cand = canonicalize(labels).labels
+        if cand not in splits:
+            sizes = (len(chosen), len(members) - len(chosen))
+            splits[cand] = (cand, "split-down",
+                            merge_delta(sizes, c.n_items, metric))
+
+    for members in c.clusters:
+        size = len(members)
+        if size < 2:
+            continue
+        if size <= exhaustive_limit:
+            rest = members[1:]
+            for mask in range(2 ** len(rest) - 1):
+                add(members, [rest[t] for t in range(len(rest))
+                              if not mask >> t & 1])
+        else:
+            for idx in members:
+                add(members, (idx,))
+            for m in range(2, size // 2 + 1):
+                for _ in range(balanced_samples):
+                    chosen = rng.choice(size, size=m, replace=False)
+                    add(members, [members[t] for t in chosen])
+    merges = sorted(merges, key=key)[:l]
+    return sorted(merges + sorted(splits.values(), key=key)[:l], key=key)
 
 
 @pytest.fixture

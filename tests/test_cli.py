@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from postclust import cli
+from postclust import cli, posterior
 
 
 def test_simulate_sample_estimate_ball_round_trip(tmp_path):
@@ -61,3 +61,26 @@ def test_unknown_metric_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", str(tmp_path / "draws.csv"), "--metric", "rand"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--burn-in", "3"]])  # default 1000
+def test_burn_in_not_below_iterations_is_a_usage_error(tmp_path, capsys, extra):
+    data = tmp_path / "ok.csv"
+    data.write_text("1.0\n2.5\n3.0\n4.0\n")
+    code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
+                     "--iterations", "3", *extra])
+    assert code == 2
+    assert "--burn-in" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_estimate_builds_the_similarity_matrix_once(tmp_path, monkeypatch):
+    draws = tmp_path / "draws.csv"
+    draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")
+    built = []
+    original = posterior._co_clustering
+    monkeypatch.setattr(posterior, "_co_clustering",
+                        lambda *args, **kw: built.append(1) or original(*args, **kw))
+    assert cli.main(["estimate", str(draws), "--metric", "binder",
+                     "--restarts", "3", "--out", str(tmp_path / "e.json")]) == 0
+    assert len(built) == 1

@@ -20,7 +20,12 @@ from postclust import (
     vi,
 )
 
-from conftest import all_partitions, distance_matrix, partition_index
+from conftest import (
+    all_partitions,
+    distance_matrix,
+    partition_index,
+    reference_neighbors,
+)
 
 BOTH = (Metric.VI, Metric.BINDER)
 TOL = 1e-12
@@ -251,6 +256,23 @@ class TestClosestNeighbors:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             closest_neighbors(one_cluster(4), Metric.VI, l=0)
+
+    def test_matches_reference_loop(self):
+        # same candidates, order and delta bits as a plain loop that builds
+        # and canonicalizes every label list, random splits included
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            n = int(rng.integers(1, 30))
+            c = canonicalize(rng.integers(0, int(rng.integers(1, 7)), n).tolist())
+            l = int(rng.integers(1, 40))
+            seed, samples = int(rng.integers(0, 999)), int(rng.integers(1, 6))
+            limit = int(rng.integers(1, 9))
+            for metric in BOTH:
+                got = [
+                    (cand.partition.labels, cand.direction, cand.delta)
+                    for cand in closest_neighbors(c, metric, l, seed, samples, limit)
+                ]
+                assert got == reference_neighbors(c, metric, l, seed, samples, limit)
 
 
 class TestMetricAxioms:

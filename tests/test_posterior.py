@@ -24,6 +24,9 @@ from postclust import (
     vi,
 )
 
+from postclust.partition import canonical_labels
+from postclust.posterior import _canonical_rows
+
 from conftest import all_partitions, synthetic_draws
 
 TOL = 1e-12
@@ -67,6 +70,17 @@ class TestLoadDraws:
             assert canonicalize(row.tolist()).labels == tuple(row.tolist())
 
 
+    def test_canonical_rows_match_per_row_relabelling(self, rng):
+        ranges = [(0, 3), (-5, 5), (-(2**62), 2**62), (10**15, 10**15 + 4)]
+        for shape in [(1, 1), (6, 1), (1, 9), (40, 12), (7, 200)]:
+            for low, high in ranges:
+                a = rng.integers(low, high, size=shape, dtype=np.int64)
+                expect = [list(canonical_labels(row)) for row in a.tolist()]
+                assert _canonical_rows(a).tolist() == expect
+        big = np.array([[2**64 - 1, 0, 2**63, 0, 2**64 - 1]], dtype=np.uint64)
+        assert _canonical_rows(big).tolist() == [[0, 1, 2, 1, 0]]
+
+
 class TestSimilarityMatrix:
     def test_single_draw_block_structure(self):
         draws = DrawMatrix(np.array([[0, 0, 1, 1]]))
@@ -95,6 +109,12 @@ class TestSimilarityMatrix:
         np.testing.assert_array_equal(psm.p, psm.p.T)
         np.testing.assert_array_equal(psm.p.diagonal(), np.ones(9))
         assert psm.p.min() >= 0 and psm.p.max() <= 1
+
+    def test_built_once_per_draw_matrix(self, rng):
+        draws = synthetic_draws(rng, 6, 20)
+        psm = similarity_matrix(draws)
+        assert similarity_matrix(draws) is psm
+        np.testing.assert_array_equal(psm.p, similarity_matrix(draws, chunk=3).p)
 
     def test_chunking_invariant(self, rng):
         draws = synthetic_draws(rng, 7, 29)

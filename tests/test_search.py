@@ -16,7 +16,38 @@ from postclust import (
     singletons,
 )
 
+from postclust.metrics import _neighbor_moves
+from postclust.search import IMPROVEMENT_TOL, _loss_deltas
+
 from conftest import all_partitions, synthetic_draws
+
+ESTIMATES = [
+    (Metric.BINDER, "exact"),
+    (Metric.VI, "exact"),
+    (Metric.VI, "lower-bound"),
+]
+
+
+def reference_search(draws, config):
+    """The descent with every candidate scored by the public estimator."""
+    if config.init == "best":
+        current, loss = best_sampled(draws, config.metric, config.estimator)
+    else:
+        current = draws.row(draws.m - 1)
+        loss = expected_loss(current, draws, config.metric, config.estimator)
+    trajectory = [(current.labels, loss)]
+    for iteration in range(1, config.max_iters + 1):
+        budget = config.l or min(2 * current.k * current.k, 200)
+        cands = closest_neighbors(current, config.metric, budget,
+                                  rng_seed=config.seed * 100003 + iteration)
+        if not cands:
+            break
+        part, part_loss = evaluate_candidates(current, cands, draws, config)
+        if not part_loss < loss - IMPROVEMENT_TOL:
+            break
+        current, loss = part, part_loss
+        trajectory.append((current.labels, loss))
+    return trajectory
 
 
 class TestConfigValidation:
@@ -109,11 +140,99 @@ class TestGreedyDescent:
         start = result.trajectory[0][0]
         assert start == last
 
+    def test_stats_record_each_iteration(self, rng):
+        draws = synthetic_draws(rng, 8, 40, support=6)
+        config = SearchConfig(metric=Metric.BINDER, init=singletons(8), seed=2)
+        result = greedy_search(draws, config)
+        assert len(result.stats) == result.iterations_used + 1
+        assert result.stats[-1].accepted is None
+        steps = zip(result.stats, result.trajectory, result.trajectory[1:])
+        for iteration, (stats, (before, _), (after, _)) in enumerate(steps, 1):
+            assert stats.accepted == (
+                "merge-up" if after.k < before.k else "split-down"
+            )
+            budget = min(2 * before.k * before.k, 200)
+            assert stats.candidates == len(closest_neighbors(
+                before, Metric.BINDER, budget, rng_seed=2 * 100003 + iteration
+            ))
+            assert 1 <= stats.certified <= stats.candidates
+
+    def test_equal_losses_go_to_smaller_labels(self):
+        # items 1 and 2 are exchangeable, so joining item 0 with either
+        # costs exactly the same; both are certified and 0,0,1 wins
+        draws = DrawMatrix(np.array([[0, 0, 1], [0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        low, high = canonicalize([0, 0, 1]), canonicalize([0, 1, 0])
+        for metric in (Metric.BINDER, Metric.VI):
+            assert expected_loss(low, draws, metric) == expected_loss(high, draws, metric)
+            result = greedy_search(draws, SearchConfig(
+                metric=metric, init=singletons(3), max_iters=1
+            ))
+            assert result.trajectory[1][0] == low
+            assert result.stats[0].certified >= 2
+
     def test_explicit_partition_must_match_items(self, rng):
         draws = synthetic_draws(rng, 5, 10)
         with pytest.raises(ValueError):
             greedy_search(
                 draws, SearchConfig(metric=Metric.VI, init=one_cluster(6))
+            )
+
+
+class TestMoveDeltas:
+    """The loss change the search scores a neighbour by equals the public
+    estimator's difference, for every kind of move."""
+
+    @pytest.mark.parametrize("metric, estimator", ESTIMATES)
+    def test_every_neighbor_matches_estimator(self, metric, estimator):
+        limit = 4  # larger clusters get peel-offs and balanced random splits
+        config = SearchConfig(metric=metric, estimator=estimator)
+        kinds = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 13))
+            support = None if seed % 2 else int(rng.integers(2, 8))
+            draws = synthetic_draws(rng, n, int(rng.integers(5, 40)), support)
+            for start in (draws.row(0), draws.row(draws.m - 1), one_cluster(n)):
+                moves = _neighbor_moves(start, metric, 10**6, seed,
+                                        exhaustive_split_limit=limit)
+                cands = closest_neighbors(start, metric, 10**6, seed,
+                                          exhaustive_split_limit=limit)
+                assert [c.partition.labels for c in cands] == [
+                    tuple(row) for row in moves.labels.tolist()
+                ]
+                deltas = _loss_deltas(start, moves, draws, config)
+                base = expected_loss(start, draws, metric, estimator)
+                for t, cand in enumerate(cands):
+                    full = expected_loss(cand.partition, draws, metric, estimator)
+                    assert deltas[t] == pytest.approx(full - base, abs=1e-12)
+                    size = start.sizes[moves.pair[t, 0]]
+                    cut = int(moves.part[t].sum())
+                    kinds.add(
+                        "merge" if moves.merge[t]
+                        else "exhaustive" if size <= limit
+                        else "peel-off" if min(cut, size - cut) == 1
+                        else "balanced"
+                    )
+        assert kinds == {"merge", "exhaustive", "peel-off", "balanced"}
+
+
+class TestFullEvaluationAgreement:
+    """Scoring by loss changes and certifying the shortlist walks exactly
+    the path of scoring every candidate by the public estimator."""
+
+    @pytest.mark.parametrize("init", ["best", "last"])
+    @pytest.mark.parametrize("metric, estimator", ESTIMATES)
+    def test_same_trajectory_bit_for_bit(self, metric, estimator, init):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 13))
+            support = None if seed % 2 else int(rng.integers(2, 9))
+            draws = synthetic_draws(rng, n, int(rng.integers(3, 40)), support)
+            config = SearchConfig(metric=metric, estimator=estimator,
+                                  init=init, seed=seed, l=(None, 2)[seed % 2])
+            result = greedy_search(draws, config)
+            assert [(p.labels, loss) for p, loss in result.trajectory] == (
+                reference_search(draws, config)
             )
 
 
