@@ -22,14 +22,13 @@ from .dpm import (
 )
 from .metrics import (
     Metric,
-    NeighborCandidate,
+    Neighbors,
     binder,
     closest_neighbors,
     entropy,
     merge_delta,
     mutual_information,
     rand_index,
-    split_delta,
     vi,
 )
 from .partition import (
@@ -47,7 +46,6 @@ from .partition import (
 )
 from .posterior import (
     DrawMatrix,
-    SimilarityMatrix,
     best_sampled,
     draw_distances,
     expected_binder,
@@ -57,7 +55,7 @@ from .posterior import (
     load_draws,
     similarity_matrix,
 )
-from .search import SearchConfig, SearchResult, evaluate_candidates, greedy_search
+from .search import SearchConfig, SearchResult, greedy_search
 
 __all__ = [
     "__version__",
@@ -67,12 +65,11 @@ __all__ = [
     "Dataset",
     "DrawMatrix",
     "Metric",
-    "NeighborCandidate",
+    "Neighbors",
     "Partition",
     "SamplerConfig",
     "SearchConfig",
     "SearchResult",
-    "SimilarityMatrix",
     "ball_bounds",
     "best_sampled",
     "binder",
@@ -85,7 +82,6 @@ __all__ = [
     "draw_distances",
     "entropy",
     "enumerate_partitions",
-    "evaluate_candidates",
     "expected_binder",
     "expected_loss",
     "expected_vi",
@@ -105,6 +101,5 @@ __all__ = [
     "similarity_matrix",
     "simulate_example",
     "singletons",
-    "split_delta",
     "vi",
 ]

@@ -5,7 +5,8 @@ utilities dist (partition distance), psm (similarity-matrix export) and
 pairclass (pairwise agreement codes against a reference partition).
 
 Every file output gets a JSON sidecar manifest recording the command, its
-inputs, the full parameter set (including the original argv) and the seed,
+inputs with the sha256 of each input file, the full parameter set
+(including the original argv), the seed and the Python and numpy versions,
 so any artifact can be regenerated bit-for-bit.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
@@ -13,9 +14,13 @@ Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
 
 import argparse
 import csv
+import hashlib
 import json
 import os
+import platform
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -66,10 +71,13 @@ def _write_manifest(out_path: str, args: argparse.Namespace, argv: list[str],
     manifest = {
         "command": args.command,
         "inputs": inputs,
+        "input_sha256": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                         for p in inputs if os.path.isfile(p)},
         "config": config,
         "seed": getattr(args, "seed", None),
         "outputs": outputs,
-        "versions": f"postclust {__version__}",
+        "versions": {"postclust": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
     }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
@@ -94,33 +102,34 @@ def _cmd_dist(args, argv) -> int:
 def _cmd_psm(args, argv) -> int:
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
-    _write_matrix_csv(args.out, psm.p, "%.17g")
+    _write_matrix_csv(args.out, psm, "%.17g")
     _write_manifest(args.out, args, argv, [args.draws], [args.out])
     return 0
 
 
-def _search_config(args, init) -> SearchConfig:
-    return SearchConfig(
-        metric=METRICS[args.metric],
-        estimator=ESTIMATORS[args.estimator],
-        l=args.l,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        init=init,
-    )
-
-
 def _cmd_estimate(args, argv) -> int:
-    draws = load_draws(args.draws)
     init = args.init
     if init not in ("best", "last"):
         init = _read_partition(init)
+    try:  # the command line alone decides these: a usage error
+        if args.restarts < 1:
+            raise ValueError(f"--restarts ({args.restarts}) must be >= 1")
+        config = SearchConfig(
+            metric=METRICS[args.metric],
+            estimator=ESTIMATORS[args.estimator],
+            l=args.l,
+            max_iters=args.max_iters,
+            seed=args.seed,
+            init=init,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
-    result = greedy_search(draws, _search_config(args, init))
+    result = greedy_search(draws, config)
     for extra in range(1, args.restarts):
-        config = _search_config(args, init)
-        config.seed = args.seed + extra
-        other = greedy_search(draws, config)
+        other = greedy_search(draws, replace(config, seed=args.seed + extra))
         if other.expected_loss < result.expected_loss:
             result = other
     optimum = result.optimum
@@ -136,17 +145,14 @@ def _cmd_estimate(args, argv) -> int:
         "seed": args.seed,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.trajectory:
+        _write_trajectory(args.trajectory, result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        outputs = [args.out]
-        if args.trajectory:
-            _write_trajectory(args.trajectory, result)
-            outputs.append(args.trajectory)
+        outputs = [args.out] + ([args.trajectory] if args.trajectory else [])
         _write_manifest(args.out, args, argv, [args.draws], outputs)
     else:
-        if args.trajectory:
-            _write_trajectory(args.trajectory, result)
         print(text)
     return 0
 

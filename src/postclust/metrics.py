@@ -21,14 +21,13 @@ from .partition import Partition, contingency
 
 __all__ = [
     "Metric",
-    "NeighborCandidate",
+    "Neighbors",
     "entropy",
     "mutual_information",
     "vi",
     "binder",
     "rand_index",
     "merge_delta",
-    "split_delta",
     "closest_neighbors",
 ]
 
@@ -72,15 +71,6 @@ def mutual_information(c: Partition, d: Partition) -> float:
     return total
 
 
-def _vi_from_table(counts: np.ndarray, n: int) -> float:
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    a_r = _xlogx(rows).sum()
-    a_c = _xlogx(cols).sum()
-    joint = _xlogx(counts[counts > 0]).sum()
-    return (a_r + a_c - 2.0 * joint) / n
-
-
 def vi(c: Partition, d: Partition) -> float:
     """Variation of information between two partitions, in bits.
 
@@ -88,7 +78,19 @@ def vi(c: Partition, d: Partition) -> float:
     to log2(N) (one cluster versus all singletons).
     """
     table = contingency(c, d)
-    return _vi_from_table(table.counts, table.total)
+    a_r = _xlogx(table.row_sums).sum()
+    a_c = _xlogx(table.col_sums).sum()
+    joint = _xlogx(table.counts[table.counts > 0]).sum()
+    return (a_r + a_c - 2.0 * joint) / table.total
+
+
+def _disagreements(c: Partition, d: Partition) -> int:
+    """Twice the number of item pairs the two partitions disagree on."""
+    table = contingency(c, d)
+    a_r = int((table.row_sums**2).sum())
+    a_c = int((table.col_sums**2).sum())
+    joint = int((table.counts**2).sum())
+    return a_r + a_c - 2 * joint
 
 
 def binder(c: Partition, d: Partition) -> float:
@@ -97,12 +99,7 @@ def binder(c: Partition, d: Partition) -> float:
     All sums are accumulated in exact integer arithmetic before a single
     float division, so dyadic values come out exact.
     """
-    table = contingency(c, d)
-    n = table.total
-    a_r = int((table.row_sums**2).sum())
-    a_c = int((table.col_sums**2).sum())
-    joint = int((table.counts**2).sum())
-    return (a_r + a_c - 2 * joint) / (n * n)
+    return _disagreements(c, d) / (c.n_items * c.n_items)
 
 
 def rand_index(c: Partition, d: Partition) -> float:
@@ -110,16 +107,16 @@ def rand_index(c: Partition, d: Partition) -> float:
     n = c.n_items
     if n < 2:
         raise ValueError("rand index needs at least 2 items")
-    table = contingency(c, d)
-    a_r = int((table.row_sums**2).sum())
-    a_c = int((table.col_sums**2).sum())
-    joint = int((table.counts**2).sum())
-    disagreements = (a_r + a_c - 2 * joint) // 2  # pair count, exact
+    disagreements = _disagreements(c, d) // 2  # pair count, exact
     return 1.0 - disagreements / math.comb(n, 2)
 
 
 def merge_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
-    """Distance cost of merging two clusters of the given sizes."""
+    """Distance cost of merging two clusters of the given sizes.
+
+    The two partitions are nested, so this is also the cost of splitting
+    one cluster into parts of these sizes.
+    """
     ni, nj = sizes
     if metric is Metric.VI:
         m = ni + nj
@@ -127,27 +124,12 @@ def merge_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
     return 2.0 * ni * nj / (n * n)
 
 
-def split_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
-    """Distance cost of splitting one cluster into parts of the given sizes."""
-    n1, n2 = sizes
-    return merge_delta((n1, n2), n, metric)
-
-
 def _int_xlogx(v: int) -> float:
     return v * math.log2(v) if v > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class NeighborCandidate:
-    """A partition one Hasse step away from a source partition."""
-
-    partition: Partition
-    direction: str  # "merge-up" or "split-down"
-    delta: float  # exact distance from the source partition
-
-
 @dataclass(frozen=True, eq=False)
-class _Moves:
+class Neighbors:
     """The neighbours ``closest_neighbors`` returns, as arrays in its order.
 
     Row t is one candidate: ``labels[t]`` its canonical labels, ``delta[t]``
@@ -223,17 +205,30 @@ def _split_parts(
     return np.concatenate(clusters), np.concatenate(counts), np.concatenate(blocks)
 
 
-def _neighbor_moves(
+def closest_neighbors(
     c: Partition,
     metric: Metric,
     l: int,
     rng_seed: int = 0,
     balanced_samples: int = 5,
     exhaustive_split_limit: int = 8,
-) -> _Moves:
-    """The array form of ``closest_neighbors``: same candidates, same order.
+) -> Neighbors:
+    """Generate up to ``l`` nearest covering partitions (merges) and up to
+    ``l`` nearest covered partitions (splits) of ``c``.
 
-    No candidate's labels are built to rank it.  A merge of (a, b) first
+    Merges are enumerated completely (k(k-1)/2 of them) and ranked by their
+    exact distance.  Splits of clusters up to ``exhaustive_split_limit``
+    items are enumerated completely; larger clusters contribute all
+    single-item peel-offs plus ``balanced_samples`` seeded random splits per
+    coarser size profile, since peel-offs are provably the locally closest
+    splits while the random coarser ones widen the search.  Ties are broken
+    by the candidate's canonical label sequence, so identical inputs always
+    give identical output.
+
+    Each candidate also carries its move (the two merged clusters, or the
+    split cluster and the piece cut off), so that the greedy search can
+    score it by its loss change without building a ``Partition``.  No
+    candidate's labels are built to rank it.  A merge of (a, b) first
     changes the labels at b's first item, lowering it to a; a split first
     changes them at the first item f of its part, raising it.  So at equal
     distance merges precede splits, merges rank by (b, a), splits rank by
@@ -276,48 +271,10 @@ def _neighbor_moves(
         np.stack([a[m_pick], b[m_pick]], axis=1),
         np.stack([cluster[s_pick], np.full(n_split, -1)], axis=1),
     ])
-    return _Moves(
+    return Neighbors(
         labels=np.concatenate([merged, split])[order],
         delta=delta[order],
         merge=merge[order],
         pair=pair[order],
         part=np.concatenate([np.zeros((n_merge, n), dtype=bool), part[s_pick]])[order],
     )
-
-
-def closest_neighbors(
-    c: Partition,
-    metric: Metric,
-    l: int,
-    rng_seed: int = 0,
-    balanced_samples: int = 5,
-    exhaustive_split_limit: int = 8,
-) -> list[NeighborCandidate]:
-    """Generate up to ``l`` nearest covering partitions (merges) and up to
-    ``l`` nearest covered partitions (splits) of ``c``.
-
-    Merges are enumerated completely (k(k-1)/2 of them) and ranked by their
-    exact distance.  Splits of clusters up to ``exhaustive_split_limit``
-    items are enumerated completely; larger clusters contribute all
-    single-item peel-offs plus ``balanced_samples`` seeded random splits per
-    coarser size profile, since peel-offs are provably the locally closest
-    splits while the random coarser ones widen the search.  Ties are broken
-    by the candidate's canonical label sequence, so identical inputs always
-    give identical output.
-
-    This is a view of the array generator the greedy search uses, which
-    describes each candidate by its move (the two merged clusters, or the
-    split cluster and the piece cut off) so that the search can score it
-    by its loss change without building a ``Partition``.
-    """
-    moves = _neighbor_moves(
-        c, metric, l, rng_seed, balanced_samples, exhaustive_split_limit
-    )
-    return [
-        NeighborCandidate(
-            Partition(tuple(row)), "merge-up" if up else "split-down", delta
-        )
-        for row, up, delta in zip(
-            moves.labels.tolist(), moves.merge.tolist(), moves.delta.tolist()
-        )
-    ]

@@ -2,8 +2,8 @@
 
 A ``DrawMatrix`` holds M sampled partitions of N items, one canonical label
 row per MCMC sweep; it is the empirical posterior everything downstream
-consumes.  The ``SimilarityMatrix`` of co-clustering probabilities is the
-sufficient statistic for the pair-counting loss and for the fast lower
+consumes.  The N x N similarity matrix of co-clustering probabilities is
+the sufficient statistic for the pair-counting loss and for the fast lower
 bound on the expected information distance.
 
 Loss estimators:
@@ -26,6 +26,7 @@ from .metrics import Metric, _xlogx
 from .partition import Partition
 
 ESTIMATORS = ("exact", "lower-bound")
+SIMILARITY_BLOCK = 128  # draws compared at once: memory grows as block * N^2
 
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
@@ -80,9 +81,9 @@ class DrawMatrix:
         return Partition(tuple(int(x) for x in self.draws[m]))
 
     @cached_property
-    def similarity(self) -> "SimilarityMatrix":
+    def similarity(self) -> np.ndarray:
         """The similarity matrix, built once per draw matrix."""
-        return _co_clustering(self, chunk=128)
+        return _co_clustering(self)
 
     # -- cached per-draw statistics used by the vectorized estimators ------
 
@@ -136,21 +137,6 @@ class DrawMatrix:
         )
 
 
-class SimilarityMatrix:
-    """N x N posterior co-clustering probabilities."""
-
-    def __init__(self, p: np.ndarray):
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("similarity matrix must be square")
-        self.p = p
-        self.p.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-
 def load_draws(source) -> DrawMatrix:
     """Parse a draw file: one comma-separated label row per line, '#' comments."""
     if hasattr(source, "read"):
@@ -180,26 +166,25 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(np.asarray(rows, dtype=np.int64))
 
 
-def _co_clustering(draws: DrawMatrix, chunk: int) -> SimilarityMatrix:
+def _co_clustering(draws: DrawMatrix) -> np.ndarray:
     n = draws.n
     counts = np.zeros((n, n), dtype=np.int64)
     a = draws.draws
-    for start in range(0, draws.m, chunk):
-        block = a[start : start + chunk]
+    for start in range(0, draws.m, SIMILARITY_BLOCK):
+        block = a[start : start + SIMILARITY_BLOCK]
         counts += (block[:, :, None] == block[:, None, :]).sum(axis=0)
-    return SimilarityMatrix(counts / draws.m)
+    p = counts / draws.m
+    p.setflags(write=False)
+    return p
 
 
-def similarity_matrix(draws: DrawMatrix, chunk: int | None = None) -> SimilarityMatrix:
+def similarity_matrix(draws: DrawMatrix) -> np.ndarray:
     """Fraction of draws co-clustering each item pair; symmetric, unit diagonal.
 
-    Without ``chunk`` this is the matrix cached on ``draws``, so it is built
-    once however often it is asked for.  With ``chunk``, a fresh matrix is
-    built that many draws at a time (memory grows as chunk * N^2).
+    This is the read-only matrix cached on ``draws``, so it is built once
+    however often it is asked for.
     """
-    if chunk is None:
-        return draws.similarity
-    return _co_clustering(draws, chunk)
+    return draws.similarity
 
 
 def _check_candidate(candidate: Partition, n: int):
@@ -209,19 +194,41 @@ def _check_candidate(candidate: Partition, n: int):
         )
 
 
-def expected_binder(candidate: Partition, psm: SimilarityMatrix) -> float:
+def _check_similarity(candidate: Partition, psm: np.ndarray):
+    if np.shape(psm) != (candidate.n_items,) * 2:
+        raise ValueError(f"similarity matrix of shape {np.shape(psm)} does "
+                         f"not fit a candidate of {candidate.n_items} items")
+
+
+def _onehot(c: Partition) -> np.ndarray:
+    z = np.zeros((c.n_items, c.k))
+    z[np.arange(c.n_items), c.labels] = 1.0
+    return z
+
+
+def _check_estimator(metric: Metric, estimator: str):
+    """The one check of a (metric, estimator) pair."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if metric is Metric.BINDER and estimator != "exact":
+        raise ValueError("the lower-bound estimator applies only to the "
+                         "variation of information")
+
+
+def expected_binder(candidate: Partition, psm: np.ndarray) -> float:
     """Posterior expected N-invariant pair-counting loss of ``candidate``.
 
-    Exact given the similarity matrix: every co-clustered candidate pair
-    contributes 1 - p, every separated pair contributes p.
+    Exact given the N x N similarity matrix ``psm``: every co-clustered
+    candidate pair contributes 1 - p, every separated pair contributes p.
     """
-    _check_candidate(candidate, psm.n)
+    _check_similarity(candidate, psm)
+    n = candidate.n_items
     labels = np.asarray(candidate.labels)
     same = labels[:, None] == labels[None, :]
-    iu = np.triu_indices(psm.n, 1)
-    p = psm.p[iu]
+    iu = np.triu_indices(n, 1)
+    p = psm[iu]
     s = same[iu]
-    return 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (psm.n * psm.n)
+    return 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (n * n)
 
 
 def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
@@ -237,7 +244,7 @@ def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
 
 
 def expected_vi_lower(
-    candidate: Partition, psm: SimilarityMatrix, draws: DrawMatrix
+    candidate: Partition, psm: np.ndarray, draws: DrawMatrix
 ) -> float:
     """Jensen lower bound of the posterior expected variation of information.
 
@@ -256,13 +263,11 @@ def expected_vi_lower(
     the first term as well, giving ``(1/N) Σ_n log2 Σ_n' p_nn'``, bounds
     that term from above and would no longer give a lower bound.
     """
-    _check_candidate(candidate, psm.n)
+    _check_similarity(candidate, psm)
     _check_candidate(candidate, draws.n)
-    n = psm.n
+    n = candidate.n_items
     labels = np.asarray(candidate.labels)
-    onehot = np.zeros((n, candidate.k))
-    onehot[np.arange(n), labels] = 1.0
-    mass = (psm.p @ onehot)[np.arange(n), labels]  # sum of p over own cluster
+    mass = (psm @ _onehot(candidate))[np.arange(n), labels]  # sum of p over own cluster
     sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels]
     a = float(draws._row_xlogx.sum()) / draws.m
     return float(a + np.log2(sizes).sum() - 2.0 * np.log2(mass).sum()) / n
@@ -287,14 +292,10 @@ def expected_loss(
     draws: DrawMatrix,
     metric: Metric,
     estimator: str = "exact",
-    psm: SimilarityMatrix | None = None,
+    psm: np.ndarray | None = None,
 ) -> float:
     """Dispatch to the configured posterior expected-loss estimator."""
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    if metric is Metric.BINDER and estimator != "exact":
-        raise ValueError("the lower-bound estimator applies only to the "
-                         "variation of information")
+    _check_estimator(metric, estimator)
     if metric is Metric.VI and estimator == "exact":
         return expected_vi(candidate, draws)
     psm = draws.similarity if psm is None else psm

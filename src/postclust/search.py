@@ -12,11 +12,12 @@ Candidates are not built as partitions and scored one by one.  Each
 iteration computes one statistic of the current partition: the item-to-
 cluster similarity mass ``R = P Z`` for the Binder loss (with the
 cluster block sums ``Z^T R``) and the VI lower bound, or the contingency
-counts against every draw for the exact VI.  Every candidate's loss change then
-follows from its move alone: the two clusters a merge joins, or the
-cluster a split cuts and the piece it cuts off.  This is how SALSO scores
-moves (Dahl, Johnson & Müller 2022, "Search Algorithms and Loss Functions
-for Bayesian Clustering").
+counts against every draw for the exact VI.  Every candidate's loss
+change then follows from the move ``closest_neighbors`` returns with it:
+the two clusters a merge joins, or the cluster a split cuts and the
+piece it cuts off.  This is how SALSO scores moves (Dahl, Johnson &
+Müller 2022, "Search Algorithms and Loss Functions for Bayesian
+Clustering").
 
 The loss changes are exact up to rounding (below 1e-14 on the tests'
 posteriors), so the walk does not rely on them to choose.  Every
@@ -32,9 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import Metric, NeighborCandidate, _Moves, _neighbor_moves, _xlogx
+from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
-from .posterior import DrawMatrix, best_sampled, expected_loss
+from .posterior import (
+    DrawMatrix, _check_estimator, _onehot, best_sampled, expected_loss,
+)
 
 IMPROVEMENT_TOL = 1e-12  # required strict decrease before a move is accepted
 CERTIFY_MARGIN = 1e-9  # loss-change window rescored by the public estimator
@@ -59,13 +62,7 @@ class SearchConfig:
     init: str | Partition = "best"
 
     def __post_init__(self):
-        if self.estimator not in ("exact", "lower-bound"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.metric is Metric.BINDER and self.estimator == "lower-bound":
-            raise ValueError(
-                "the lower-bound estimator applies only to the variation of "
-                "information"
-            )
+        _check_estimator(self.metric, self.estimator)
         if self.l is not None and self.l < 1:
             raise ValueError("candidate budget l must be >= 1")
         if self.max_iters < 1:
@@ -103,32 +100,7 @@ def _pick_best(parts, draws: DrawMatrix,
     return part, loss
 
 
-def evaluate_candidates(
-    current: Partition,
-    candidates: list[NeighborCandidate],
-    draws: DrawMatrix,
-    config: SearchConfig,
-) -> tuple[Partition, float]:
-    """Score every candidate and return the minimizer with its loss.
-
-    Ties are broken by the lexicographically smallest canonical label
-    sequence, so the choice is deterministic.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    for cand in candidates:
-        if cand.partition.n_items != current.n_items:
-            raise ValueError("candidate covers a different item count")
-    return _pick_best((cand.partition for cand in candidates), draws, config)
-
-
-def _onehot(c: Partition) -> np.ndarray:
-    z = np.zeros((c.n_items, c.k))
-    z[np.arange(c.n_items), c.labels] = 1.0
-    return z
-
-
-def _signed_distance(moves: _Moves) -> np.ndarray:
+def _signed_distance(moves: Neighbors) -> np.ndarray:
     """The part of each loss change that depends on cluster sizes alone.
 
     Between nested partitions both metrics are a difference of one size
@@ -139,10 +111,10 @@ def _signed_distance(moves: _Moves) -> np.ndarray:
     return np.where(moves.merge, moves.delta, -moves.delta)
 
 
-def _binder_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarray:
+def _binder_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
     """Change in expected Binder loss: (2/N^2) Σ (1 - 2 p) over the item
     pairs a merge joins, or minus that over the pairs a split separates."""
-    p = draws.similarity.p
+    p = draws.similarity
     z = _onehot(c)
     mass = np.empty(len(moves))  # Σ p over those pairs, negated for splits
     merge = moves.merge
@@ -154,10 +126,10 @@ def _binder_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarray
     return _signed_distance(moves) - mass * (4.0 / (c.n_items * c.n_items))
 
 
-def _vi_lower_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarray:
+def _vi_lower_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
     """Change in the Jensen bound: the signed distance less (2/N) times the
     change in Σ_n log2 of item n's similarity mass within its cluster."""
-    p = draws.similarity.p
+    p = draws.similarity
     labels = np.asarray(c.labels)
     z = _onehot(c)
     mass = p @ z  # mass[n, j]: similarity of item n to cluster j
@@ -180,7 +152,7 @@ def _vi_lower_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarr
     return _signed_distance(moves) - 2.0 * out / c.n_items
 
 
-def _vi_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarray:
+def _vi_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
     """Change in exact expected VI, from the contingency counts J of ``c``
     against every draw: the signed distance less (2/NM) Σ_cells Δ n log2 n.
 
@@ -206,7 +178,7 @@ def _vi_deltas(c: Partition, moves: _Moves, draws: DrawMatrix) -> np.ndarray:
     return _signed_distance(moves) - 2.0 * out / (draws.m * c.n_items)
 
 
-def _loss_deltas(c: Partition, moves: _Moves, draws: DrawMatrix,
+def _loss_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix,
                  config: SearchConfig) -> np.ndarray:
     if config.metric is Metric.BINDER:
         return _binder_deltas(c, moves, draws)
@@ -242,7 +214,7 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
         budget = config.l
         if budget is None:
             budget = min(2 * current.k * current.k, 200)
-        moves = _neighbor_moves(
+        moves = closest_neighbors(
             current, config.metric, budget,
             rng_seed=config.seed * 100003 + iteration,
         )

@@ -85,6 +85,17 @@ def synthetic_draws(
     return DrawMatrix(np.asarray([pool[p] for p in picks], dtype=np.int64))
 
 
+def neighbor_list(moves) -> list[tuple[tuple[int, ...], str, float]]:
+    """The rows of a ``Neighbors`` as (labels, direction, delta), the form
+    ``reference_neighbors`` returns."""
+    return [
+        (tuple(row), "merge-up" if up else "split-down", delta)
+        for row, up, delta in zip(
+            moves.labels.tolist(), moves.merge.tolist(), moves.delta.tolist()
+        )
+    ]
+
+
 def reference_neighbors(
     c: Partition,
     metric: Metric,

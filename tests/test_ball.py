@@ -6,6 +6,7 @@ import pytest
 from postclust import (
     DrawMatrix,
     Metric,
+    Partition,
     ball_bounds,
     binder,
     canonicalize,
@@ -156,14 +157,10 @@ class TestBallBounds:
         # one far partition; a 80% ball keeps exactly center + neighbors,
         # and that membership is metric-independent
         c = canonicalize([0, 0, 1, 1, 2])
+        moves = closest_neighbors(c, Metric.VI, l=100)
         nearest = {
-            cand.partition
-            for cand in closest_neighbors(c, Metric.VI, l=100)
-            if abs(
-                cand.delta
-                - min(x.delta for x in closest_neighbors(c, Metric.VI, l=100))
-            )
-            < 1e-12
+            Partition(tuple(row))
+            for row in moves.labels[moves.delta - moves.delta.min() < 1e-12].tolist()
         }
         rows = [c.labels] * 10
         for p in sorted(nearest, key=lambda p: p.labels):

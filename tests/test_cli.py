@@ -1,10 +1,14 @@
 """End-to-end CLI run and the exit-code contract (0 ok, 2 usage, 3 data)."""
 
+import hashlib
 import json
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from postclust import cli, posterior
+from postclust import __version__, cli, posterior
 
 
 def test_simulate_sample_estimate_ball_round_trip(tmp_path):
@@ -33,6 +37,16 @@ def test_simulate_sample_estimate_ball_round_trip(tmp_path):
         )
         assert manifest["command"] == command
         assert manifest["inputs"] == inputs
+        # the ball's centre is inline labels, not a file: it has no hash
+        assert manifest["input_sha256"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in inputs[:1]
+        }
+        assert manifest["versions"] == {
+            "postclust": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
     sample_manifest = json.loads(
         (tmp_path / "draws.csv.manifest.json").read_text()
     )
@@ -84,3 +98,17 @@ def test_estimate_builds_the_similarity_matrix_once(tmp_path, monkeypatch):
     assert cli.main(["estimate", str(draws), "--metric", "binder",
                      "--restarts", "3", "--out", str(tmp_path / "e.json")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--restarts", "0"],
+    ["--restarts", "-3"],
+    ["--l", "0"],
+    ["--max-iters", "0"],
+    ["--metric", "binder", "--estimator", "lb"],
+])
+def test_bad_search_option_is_a_usage_error(tmp_path, capsys, extra):
+    # the draw file does not exist: the options are checked before it is read
+    code = cli.main(["estimate", str(tmp_path / "missing.csv"), *extra])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 
 from postclust import (
     Metric,
+    Partition,
     binder,
     canonicalize,
     closest_neighbors,
@@ -16,13 +17,13 @@ from postclust import (
     one_cluster,
     rand_index,
     singletons,
-    split_delta,
     vi,
 )
 
 from conftest import (
     all_partitions,
     distance_matrix,
+    neighbor_list,
     partition_index,
     reference_neighbors,
 )
@@ -154,16 +155,18 @@ class TestMoveDeltas:
         assert merge_delta((2, 2), 4, Metric.VI) == pytest.approx(1.0, abs=TOL)
 
     def test_size_two_split(self):
-        assert split_delta((1, 1), 4, Metric.VI) == pytest.approx(0.5, abs=TOL)
-        assert split_delta((1, 1), 4, Metric.BINDER) == pytest.approx(
-            2 / 16, abs=TOL
-        )
+        # splitting a pair costs what merging two singletons does
+        c = canonicalize([0, 0, 1, 2])
+        split = canonicalize([0, 1, 2, 3])
+        for metric, expect in ((Metric.VI, 0.5), (Metric.BINDER, 2 / 16)):
+            assert merge_delta((1, 1), 4, metric) == pytest.approx(expect, abs=TOL)
+            assert dist_fn(metric)(c, split) == pytest.approx(expect, abs=TOL)
 
     def test_peel_off_minimizes_splits(self):
         for metric in BOTH:
             for size in range(2, 11):
                 deltas = [
-                    split_delta((m, size - m), 20, metric)
+                    merge_delta((m, size - m), 20, metric)
                     for m in range(1, size // 2 + 1)
                 ]
                 assert min(deltas) == deltas[0]
@@ -180,18 +183,18 @@ class TestMoveDeltas:
 
 class TestClosestNeighbors:
     def test_all_singleton_merges(self):
-        cands = closest_neighbors(singletons(4), Metric.VI, l=10)
-        assert len(cands) == 6
-        assert all(c.direction == "merge-up" for c in cands)
-        assert all(c.delta == pytest.approx(0.5, abs=TOL) for c in cands)
+        moves = closest_neighbors(singletons(4), Metric.VI, l=10)
+        assert len(moves) == 6
+        assert moves.merge.all()
+        assert all(d == pytest.approx(0.5, abs=TOL) for d in moves.delta)
 
     def test_top_splits_are_peel_offs(self):
         for metric in BOTH:
-            cands = closest_neighbors(one_cluster(4), metric, l=20)
-            assert all(c.direction == "split-down" for c in cands)
-            best = min(c.delta for c in cands)
+            moves = closest_neighbors(one_cluster(4), metric, l=20)
+            assert not moves.merge.any()
             nearest = {
-                c.partition.labels for c in cands if abs(c.delta - best) < TOL
+                tuple(row)
+                for row in moves.labels[moves.delta < moves.delta.min() + TOL].tolist()
             }
             peels = {
                 canonicalize(
@@ -206,52 +209,59 @@ class TestClosestNeighbors:
         # the pair both cost the minimum possible move
         c = canonicalize([0, 1, 2, 2])
         for metric in BOTH:
-            cands = closest_neighbors(c, metric, l=50)
-            best = min(cand.delta for cand in cands)
-            directions = {
-                cand.direction
-                for cand in cands
-                if abs(cand.delta - best) < TOL
-            }
-            assert directions == {"merge-up", "split-down"}
+            moves = closest_neighbors(c, metric, l=50)
+            tied = moves.delta < moves.delta.min() + TOL
+            assert set(moves.merge[tied].tolist()) == {True, False}
 
     def test_deltas_equal_recomputed_metric(self):
         for metric in BOTH:
             fn = dist_fn(metric)
             for p in all_partitions(5):
-                for cand in closest_neighbors(p, metric, l=10**6):
-                    assert cand.delta == pytest.approx(
-                        fn(p, cand.partition), abs=TOL
-                    )
-                    if cand.direction == "merge-up":
-                        assert cand.partition.k == p.k - 1
+                moves = closest_neighbors(p, metric, l=10**6)
+                for labels, direction, delta in neighbor_list(moves):
+                    cand = Partition(labels)
+                    assert delta == pytest.approx(fn(p, cand), abs=TOL)
+                    if direction == "merge-up":
+                        assert cand.k == p.k - 1
                     else:
-                        assert cand.partition.k == p.k + 1
+                        assert cand.k == p.k + 1
+
+    def test_moves_describe_the_labels(self):
+        # a merge relabels cluster b as a; a split moves its part to a new
+        # cluster, and the part never holds the split cluster's first item
+        for p in all_partitions(5):
+            moves = closest_neighbors(p, Metric.VI, l=10**6)
+            labels = np.asarray(p.labels)
+            for t in range(len(moves)):
+                a, b = moves.pair[t].tolist()
+                if moves.merge[t]:
+                    assert a < b and not moves.part[t].any()
+                    moved = np.where(labels == b, a, labels)
+                else:
+                    assert b == -1
+                    assert moves.part[t].any()
+                    assert not moves.part[t][p.clusters[a][0]]
+                    assert (labels[moves.part[t]] == a).all()
+                    moved = np.where(moves.part[t], p.k, labels)
+                assert canonicalize(moved.tolist()).labels == tuple(
+                    moves.labels[t].tolist()
+                )
 
     def test_budget_truncates_each_direction(self):
         c = canonicalize([0, 0, 1, 1, 2, 2])
-        cands = closest_neighbors(c, Metric.VI, l=2)
-        merges = [c for c in cands if c.direction == "merge-up"]
-        splits = [c for c in cands if c.direction == "split-down"]
-        assert len(merges) == 2 and len(splits) == 2
+        moves = closest_neighbors(c, Metric.VI, l=2)
+        assert moves.merge.sum() == 2 and (~moves.merge).sum() == 2
 
     def test_deterministic_output(self):
         c = canonicalize(list(range(3)) + [3] * 12)  # one big cluster
         a = closest_neighbors(c, Metric.VI, l=30, rng_seed=9)
         b = closest_neighbors(c, Metric.VI, l=30, rng_seed=9)
-        assert [(x.partition.labels, x.delta) for x in a] == [
-            (x.partition.labels, x.delta) for x in b
-        ]
+        for field in ("labels", "delta", "merge", "pair", "part"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_extreme_partitions_one_sided(self):
-        assert all(
-            c.direction == "split-down"
-            for c in closest_neighbors(one_cluster(4), Metric.VI, 5)
-        )
-        assert all(
-            c.direction == "merge-up"
-            for c in closest_neighbors(singletons(4), Metric.VI, 5)
-        )
+        assert not closest_neighbors(one_cluster(4), Metric.VI, 5).merge.any()
+        assert closest_neighbors(singletons(4), Metric.VI, 5).merge.all()
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
@@ -268,10 +278,9 @@ class TestClosestNeighbors:
             seed, samples = int(rng.integers(0, 999)), int(rng.integers(1, 6))
             limit = int(rng.integers(1, 9))
             for metric in BOTH:
-                got = [
-                    (cand.partition.labels, cand.direction, cand.delta)
-                    for cand in closest_neighbors(c, metric, l, seed, samples, limit)
-                ]
+                got = neighbor_list(
+                    closest_neighbors(c, metric, l, seed, samples, limit)
+                )
                 assert got == reference_neighbors(c, metric, l, seed, samples, limit)
 
 

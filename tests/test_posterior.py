@@ -25,7 +25,7 @@ from postclust import (
 )
 
 from postclust.partition import canonical_labels
-from postclust.posterior import _canonical_rows
+from postclust.posterior import SIMILARITY_BLOCK, _canonical_rows
 
 from conftest import all_partitions, synthetic_draws
 
@@ -89,39 +89,54 @@ class TestSimilarityMatrix:
             [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
             dtype=float,
         )
-        np.testing.assert_array_equal(psm.p, expect)
+        np.testing.assert_array_equal(psm, expect)
 
     def test_two_draw_average(self):
         draws = DrawMatrix(np.array([[0, 0], [0, 1]]))
         psm = similarity_matrix(draws)
         np.testing.assert_array_equal(
-            psm.p, np.array([[1.0, 0.5], [0.5, 1.0]])
+            psm, np.array([[1.0, 0.5], [0.5, 1.0]])
         )
 
     def test_repeated_row_gives_zero_one_entries(self):
         draws = DrawMatrix(np.tile(np.array([0, 1, 0, 2]), (7, 1)))
         psm = similarity_matrix(draws)
-        assert set(np.unique(psm.p)) == {0.0, 1.0}
+        assert set(np.unique(psm)) == {0.0, 1.0}
 
     def test_symmetry_and_unit_diagonal(self, rng):
         draws = synthetic_draws(rng, 9, 33)
         psm = similarity_matrix(draws)
-        np.testing.assert_array_equal(psm.p, psm.p.T)
-        np.testing.assert_array_equal(psm.p.diagonal(), np.ones(9))
-        assert psm.p.min() >= 0 and psm.p.max() <= 1
+        np.testing.assert_array_equal(psm, psm.T)
+        np.testing.assert_array_equal(psm.diagonal(), np.ones(9))
+        assert psm.min() >= 0 and psm.max() <= 1
 
     def test_built_once_per_draw_matrix(self, rng):
         draws = synthetic_draws(rng, 6, 20)
         psm = similarity_matrix(draws)
         assert similarity_matrix(draws) is psm
-        np.testing.assert_array_equal(psm.p, similarity_matrix(draws, chunk=3).p)
+        assert draws.similarity is psm
+        assert psm.shape == (6, 6) and not psm.flags.writeable
 
     def test_chunking_invariant(self, rng):
-        draws = synthetic_draws(rng, 7, 29)
-        np.testing.assert_array_equal(
-            similarity_matrix(draws, chunk=4).p,
-            similarity_matrix(draws, chunk=1000).p,
-        )
+        # the draws are compared in blocks of SIMILARITY_BLOCK; with two
+        # full blocks and a partial third the sum must still be exact
+        m = 2 * SIMILARITY_BLOCK + 17
+        draws = synthetic_draws(rng, 7, m)
+        brute = np.mean([row[:, None] == row[None, :] for row in draws.draws], axis=0)
+        np.testing.assert_array_equal(similarity_matrix(draws), brute)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (4, 4), (6, 6), (25,)])
+    def test_must_be_n_by_n_for_the_candidate(self, shape):
+        draws = DrawMatrix(np.array([[0, 0, 1, 1, 2], [0, 1, 1, 2, 2]]))
+        c, psm = canonicalize([0, 0, 1, 1, 1]), np.full(shape, 0.5)
+        for estimate in (
+            lambda: expected_binder(c, psm),
+            lambda: expected_vi_lower(c, psm, draws),
+            lambda: expected_loss(c, draws, Metric.BINDER, "exact", psm),
+            lambda: expected_loss(c, draws, Metric.VI, "lower-bound", psm),
+        ):
+            with pytest.raises(ValueError, match="similarity matrix"):
+                estimate()
 
 
 class TestExpectedBinder:
@@ -314,7 +329,7 @@ class TestArgminConsistency:
                 np.asarray(cand.labels)[:, None]
                 == np.asarray(cand.labels)[None, :]
             )
-            return ((same[iu] - psm.p[iu]) ** 2).sum()
+            return ((same[iu] - psm[iu]) ** 2).sum()
 
         parts = all_partitions(4)
         by_loss = min(

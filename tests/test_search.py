@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import postclust.search
 from postclust import (
     DrawMatrix,
     Metric,
+    Partition,
     SearchConfig,
     best_sampled,
     canonicalize,
     closest_neighbors,
-    evaluate_candidates,
     expected_loss,
     greedy_search,
     one_cluster,
@@ -16,8 +17,7 @@ from postclust import (
     singletons,
 )
 
-from postclust.metrics import _neighbor_moves
-from postclust.search import IMPROVEMENT_TOL, _loss_deltas
+from postclust.search import IMPROVEMENT_TOL, _loss_deltas, _pick_best
 
 from conftest import all_partitions, synthetic_draws
 
@@ -38,11 +38,14 @@ def reference_search(draws, config):
     trajectory = [(current.labels, loss)]
     for iteration in range(1, config.max_iters + 1):
         budget = config.l or min(2 * current.k * current.k, 200)
-        cands = closest_neighbors(current, config.metric, budget,
+        moves = closest_neighbors(current, config.metric, budget,
                                   rng_seed=config.seed * 100003 + iteration)
-        if not cands:
+        if not len(moves):
             break
-        part, part_loss = evaluate_candidates(current, cands, draws, config)
+        part_loss, _, part = min(
+            (expected_loss(p, draws, config.metric, config.estimator), p.labels, p)
+            for p in (Partition(tuple(row)) for row in moves.labels.tolist())
+        )
         if not part_loss < loss - IMPROVEMENT_TOL:
             break
         current, loss = part, part_loss
@@ -157,6 +160,22 @@ class TestGreedyDescent:
             ))
             assert 1 <= stats.certified <= stats.candidates
 
+    def test_neighbors_come_through_the_module_binding(self, rng, monkeypatch):
+        # the benchmark's tracer wraps postclust.search.closest_neighbors,
+        # so the search must look it up there, once per iteration
+        calls = []
+        original = postclust.search.closest_neighbors
+        monkeypatch.setattr(
+            postclust.search, "closest_neighbors",
+            lambda *args, **kw: calls.append(1) or original(*args, **kw),
+        )
+        draws = synthetic_draws(rng, 8, 40, support=6)
+        result = greedy_search(draws, SearchConfig(
+            metric=Metric.VI, init=singletons(8)
+        ))
+        assert result.iterations_used >= 1
+        assert len(calls) == len(result.stats)
+
     def test_equal_losses_go_to_smaller_labels(self):
         # items 1 and 2 are exchangeable, so joining item 0 with either
         # costs exactly the same; both are certified and 0,0,1 wins
@@ -193,17 +212,13 @@ class TestMoveDeltas:
             support = None if seed % 2 else int(rng.integers(2, 8))
             draws = synthetic_draws(rng, n, int(rng.integers(5, 40)), support)
             for start in (draws.row(0), draws.row(draws.m - 1), one_cluster(n)):
-                moves = _neighbor_moves(start, metric, 10**6, seed,
-                                        exhaustive_split_limit=limit)
-                cands = closest_neighbors(start, metric, 10**6, seed,
+                moves = closest_neighbors(start, metric, 10**6, seed,
                                           exhaustive_split_limit=limit)
-                assert [c.partition.labels for c in cands] == [
-                    tuple(row) for row in moves.labels.tolist()
-                ]
                 deltas = _loss_deltas(start, moves, draws, config)
                 base = expected_loss(start, draws, metric, estimator)
-                for t, cand in enumerate(cands):
-                    full = expected_loss(cand.partition, draws, metric, estimator)
+                for t, row in enumerate(moves.labels.tolist()):
+                    full = expected_loss(Partition(tuple(row)), draws, metric,
+                                         estimator)
                     assert deltas[t] == pytest.approx(full - base, abs=1e-12)
                     size = start.sizes[moves.pair[t, 0]]
                     cut = int(moves.part[t].sum())
@@ -236,47 +251,18 @@ class TestFullEvaluationAgreement:
             )
 
 
-class TestEvaluateCandidates:
-    def make_draws(self):
-        c = canonicalize([0, 0, 1, 1])
-        return c, DrawMatrix(np.tile(np.array(c.labels), (5, 1)))
-
-    def test_single_candidate(self):
-        c, draws = self.make_draws()
-        cands = closest_neighbors(c, Metric.VI, l=1)[:1]
-        part, loss = evaluate_candidates(
-            c, cands, draws, SearchConfig(metric=Metric.VI)
-        )
-        assert part == cands[0].partition
-
+class TestPickBest:
     def test_nearest_candidate_wins_under_degenerate_posterior(self):
         # with all posterior mass on c, the expected loss of a candidate is
         # its distance to c, so the winner is the closest neighbor; ties go
         # to the lexicographically smallest label sequence
-        from postclust import NeighborCandidate
-
-        c, draws = self.make_draws()
-        cands = [
-            NeighborCandidate(partition=p, direction="merge-up", delta=0.0)
-            for p in all_partitions(4)
-            if p != c
-        ]
+        c = canonicalize([0, 0, 1, 1])
+        draws = DrawMatrix(np.tile(np.array(c.labels), (5, 1)))
+        cands = [p for p in all_partitions(4) if p != c]
         for metric in (Metric.VI, Metric.BINDER):
-            part, loss = evaluate_candidates(
-                c, cands, draws, SearchConfig(metric=metric)
-            )
+            part, loss = _pick_best(cands, draws, SearchConfig(metric=metric))
             assert part.labels == (0, 0, 1, 2)
-
-    def test_empty_candidates_rejected(self):
-        c, draws = self.make_draws()
-        with pytest.raises(ValueError):
-            evaluate_candidates(c, [], draws, SearchConfig(metric=Metric.VI))
-
-    def test_mismatched_candidate_rejected(self):
-        c, draws = self.make_draws()
-        bad = closest_neighbors(one_cluster(5), Metric.VI, l=1)
-        with pytest.raises(ValueError):
-            evaluate_candidates(c, bad, draws, SearchConfig(metric=Metric.VI))
+            assert loss == expected_loss(part, draws, metric)
 
 
 class TestOracleAgreement:
