@@ -32,7 +32,6 @@ from .metrics import (
     vi,
 )
 from .partition import (
-    ContingencyTable,
     Partition,
     canonicalize,
     contingency,
@@ -60,7 +59,6 @@ from .search import SearchConfig, SearchResult, greedy_search
 __all__ = [
     "__version__",
     "BallBounds",
-    "ContingencyTable",
     "CredibleBall",
     "Dataset",
     "DrawMatrix",

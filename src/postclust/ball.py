@@ -76,27 +76,19 @@ def ball_bounds(ball: CredibleBall, draws: DrawMatrix) -> BallBounds:
     by draw frequency and then by label sequence.
     """
     idx = ball.member_indices
-    rows = draws.draws[idx]
-    dist = ball.distances[idx]
     uniques, first, counts = np.unique(
-        rows, axis=0, return_index=True, return_counts=True
+        draws.draws[idx], axis=0, return_index=True, return_counts=True
     )
-    u_dist = dist[first]
+    u_dist = ball.distances[idx[first]]
     u_k = uniques.max(axis=1) + 1
 
     def collect(mask: np.ndarray) -> tuple[Partition, ...]:
-        chosen = np.flatnonzero(mask)
-        ordering = sorted(
-            chosen, key=lambda u: (-counts[u], tuple(uniques[u].tolist()))
-        )
-        return tuple(
-            Partition(tuple(int(x) for x in uniques[u])) for u in ordering
-        )
+        chosen = np.flatnonzero(mask)  # in label order: np.unique sorts rows
+        chosen = chosen[np.argsort(-counts[chosen], kind="stable")]
+        return tuple(draws.row(idx[first[u]]) for u in chosen)
 
-    k_min = u_k.min()
-    k_max = u_k.max()
-    upper_pool = u_k == k_min
-    lower_pool = u_k == k_max
+    upper_pool = u_k == u_k.min()
+    lower_pool = u_k == u_k.max()
     upper = collect(upper_pool & (u_dist == u_dist[upper_pool].max()))
     lower = collect(lower_pool & (u_dist == u_dist[lower_pool].max()))
     horizontal = collect(u_dist == u_dist.max())

@@ -15,6 +15,7 @@ Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import platform
@@ -28,7 +29,7 @@ from . import __version__
 from .ball import ball_bounds, credible_ball
 from .dpm import Dataset, SamplerConfig, gibbs_run, simulate_example
 from .metrics import Metric, binder, vi
-from .partition import Partition, canonicalize
+from .partition import Partition
 from .posterior import (
     DrawMatrix,
     expected_binder,
@@ -43,23 +44,17 @@ ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
 
 
 def _read_partition(spec: str) -> Partition:
-    """Parse a partition from an inline label string or a file path."""
-    text = spec
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            lines = [
-                ln.strip()
-                for ln in fh
-                if ln.strip() and not ln.strip().startswith("#")
-            ]
-        if not lines:
-            raise ValueError(f"no partition found in {spec}")
-        text = lines[0]
+    """The first label row of a partition file, or inline labels."""
+    source = spec if os.path.exists(spec) else io.StringIO(spec)
     try:
-        labels = [int(f) for f in text.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse partition {spec!r}") from None
-    return canonicalize(labels)
+        return load_draws(source).row(0)
+    except ValueError as exc:
+        raise ValueError(f"partition {spec!r}: {exc}") from None
+
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace, argv: list[str],
@@ -84,11 +79,16 @@ def _write_manifest(out_path: str, args: argparse.Namespace, argv: list[str],
         fh.write("\n")
 
 
-def _write_matrix_csv(path: str, matrix: np.ndarray, fmt: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(fmt % v for v in row))
-            fh.write("\n")
+def _write_result(payload: dict, args, argv: list[str], inputs: list[str],
+                  extra_outputs: list[str]):
+    """Print the JSON result, or write it to ``--out`` with its manifest."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        _write_manifest(args.out, args, argv, inputs, [args.out] + extra_outputs)
+    else:
+        print(text)
 
 
 def _cmd_dist(args, argv) -> int:
@@ -102,7 +102,7 @@ def _cmd_dist(args, argv) -> int:
 def _cmd_psm(args, argv) -> int:
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
-    _write_matrix_csv(args.out, psm, "%.17g")
+    np.savetxt(args.out, psm, fmt="%.17g", delimiter=",")
     _write_manifest(args.out, args, argv, [args.draws], [args.out])
     return 0
 
@@ -123,8 +123,7 @@ def _cmd_estimate(args, argv) -> int:
             init=init,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
     result = greedy_search(draws, config)
@@ -144,16 +143,10 @@ def _cmd_estimate(args, argv) -> int:
         "iterations_used": result.iterations_used,
         "seed": args.seed,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.trajectory:
         _write_trajectory(args.trajectory, result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        outputs = [args.out] + ([args.trajectory] if args.trajectory else [])
-        _write_manifest(args.out, args, argv, [args.draws], outputs)
-    else:
-        print(text)
+    _write_result(payload, args, argv, [args.draws],
+                  [args.trajectory] if args.trajectory else [])
     return 0
 
 
@@ -166,6 +159,9 @@ def _write_trajectory(path: str, result: SearchResult):
 
 
 def _cmd_ball(args, argv) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        return _usage_error(f"--alpha ({args.alpha}) must lie strictly "
+                            "between 0 and 1")
     draws = load_draws(args.draws)
     center = _read_partition(args.center)
     ball = credible_ball(center, draws, args.alpha, METRICS[args.metric])
@@ -182,14 +178,7 @@ def _cmd_ball(args, argv) -> int:
             "horizontal": [str(p) for p in bounds.horizontal],
         },
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        _write_manifest(args.out, args, argv, [args.draws, args.center],
-                        [args.out])
-    else:
-        print(text)
+    _write_result(payload, args, argv, [args.draws, args.center], [])
     return 0
 
 
@@ -207,9 +196,8 @@ def _parse_hyper(value: str, data: np.ndarray, kind: str):
 
 def _cmd_sample(args, argv) -> int:
     if args.iterations <= args.burn_in:
-        print(f"error: --iterations ({args.iterations}) must exceed "
-              f"--burn-in ({args.burn_in})", file=sys.stderr)
-        return 2
+        return _usage_error(f"--iterations ({args.iterations}) must exceed "
+                            f"--burn-in ({args.burn_in})")
     raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
     data = Dataset(raw)
     config = SamplerConfig(
@@ -226,10 +214,7 @@ def _cmd_sample(args, argv) -> int:
     )
     trace: list | None = [] if args.trace else None
     draws = gibbs_run(data, config, trace=trace)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row in draws.draws:
-            fh.write(",".join(str(int(x)) for x in row))
-            fh.write("\n")
+    np.savetxt(args.out, draws.draws, fmt="%d", delimiter=",")
     outputs = [args.out]
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
@@ -242,8 +227,10 @@ def _cmd_sample(args, argv) -> int:
 
 
 def _cmd_simulate(args, argv) -> int:
+    if args.n < 4:
+        return _usage_error(f"--n ({args.n}) must be >= 4")
     data, truth = simulate_example(args.which, args.n, args.seed)
-    _write_matrix_csv(args.out_data, data.points, "%.17g")
+    np.savetxt(args.out_data, data.points, fmt="%.17g", delimiter=",")
     with open(args.out_labels, "w", encoding="utf-8") as fh:
         fh.write(str(truth) + "\n")
     _write_manifest(args.out_data, args, argv, [],
@@ -256,16 +243,11 @@ def _cmd_pairclass(args, argv) -> int:
     truth = _read_partition(args.truth)
     if estimate.n_items != truth.n_items:
         raise ValueError("estimate and truth cover different item counts")
-    est = np.asarray(estimate.labels)
-    tru = np.asarray(truth.labels)
-    same_est = est[:, None] == est[None, :]
-    same_tru = tru[:, None] == tru[None, :]
+    same_est = np.equal.outer(estimate.labels, estimate.labels)
+    same_tru = np.equal.outer(truth.labels, truth.labels)
     # 2 = co-clustered in both, 0 = in neither, 1 = truth only, 3 = estimate only
-    codes = np.zeros(same_est.shape, dtype=np.int64)
-    codes[same_tru & same_est] = 2
-    codes[same_tru & ~same_est] = 1
-    codes[same_est & ~same_tru] = 3
-    _write_matrix_csv(args.out, codes, "%d")
+    codes = np.where(same_tru, 1 + same_est, 3 * same_est)
+    np.savetxt(args.out, codes, fmt="%d", delimiter=",")
     _write_manifest(args.out, args, argv, [args.estimate, args.truth],
                     [args.out])
     return 0

@@ -326,13 +326,11 @@ def simulate_example(
     comp = rng.integers(0, 4, size=n)
     noise = rng.standard_normal((n, 2))
     pts = EXAMPLE_LOCATIONS[comp] + EXAMPLE_SCALES[which][comp, None] * noise
-    return Dataset(pts), canonicalize(comp.tolist())
+    return Dataset(pts), canonicalize(comp)
 
 
 def load_galaxy() -> Dataset:
     """The bundled 82 galaxy velocities (km/sec)."""
-    text = (
-        resources.files("postclust.data").joinpath("galaxies.csv").read_text()
-    )
-    values = [float(line) for line in text.split() if line.strip()]
-    return Dataset(np.asarray(values))
+    path = resources.files("postclust.data").joinpath("galaxies.csv")
+    with path.open("r", encoding="utf-8") as fh:
+        return Dataset(np.loadtxt(fh))

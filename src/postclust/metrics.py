@@ -50,25 +50,18 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
 
 def entropy(c: Partition) -> float:
     """Shannon entropy of the cluster-size distribution, in bits."""
-    n = c.n_items
-    h = 0.0
-    for size in c.sizes:
-        p = size / n
-        h -= p * math.log2(p)
-    return h
+    p = np.asarray(c.sizes) / c.n_items
+    return float(-(p * np.log2(p)).sum())
 
 
 def mutual_information(c: Partition, d: Partition) -> float:
     """Mutual information between two clusterings of the same items, in bits."""
     table = contingency(c, d)
-    n = table.total
-    rows = table.row_sums
-    cols = table.col_sums
-    total = 0.0
-    for i, j in zip(*np.nonzero(table.counts)):
-        nij = table.counts[i, j]
-        total += (nij / n) * math.log2(nij * n / (rows[i] * cols[j]))
-    return total
+    n = c.n_items
+    i, j = np.nonzero(table)
+    nij = table[i, j]
+    rows, cols = table.sum(axis=1)[i], table.sum(axis=0)[j]
+    return float(((nij / n) * np.log2(nij * n / (rows * cols))).sum())
 
 
 def vi(c: Partition, d: Partition) -> float:
@@ -78,19 +71,18 @@ def vi(c: Partition, d: Partition) -> float:
     to log2(N) (one cluster versus all singletons).
     """
     table = contingency(c, d)
-    a_r = _xlogx(table.row_sums).sum()
-    a_c = _xlogx(table.col_sums).sum()
-    joint = _xlogx(table.counts[table.counts > 0]).sum()
-    return (a_r + a_c - 2.0 * joint) / table.total
+    a_r = _xlogx(table.sum(axis=1)).sum()
+    a_c = _xlogx(table.sum(axis=0)).sum()
+    joint = _xlogx(table[table > 0]).sum()
+    return float((a_r + a_c - 2.0 * joint) / c.n_items)
 
 
 def _disagreements(c: Partition, d: Partition) -> int:
     """Twice the number of item pairs the two partitions disagree on."""
     table = contingency(c, d)
-    a_r = int((table.row_sums**2).sum())
-    a_c = int((table.col_sums**2).sum())
-    joint = int((table.counts**2).sum())
-    return a_r + a_c - 2 * joint
+    a_r = int((table.sum(axis=1) ** 2).sum())
+    a_c = int((table.sum(axis=0) ** 2).sum())
+    return a_r + a_c - 2 * int((table**2).sum())
 
 
 def binder(c: Partition, d: Partition) -> float:

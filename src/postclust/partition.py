@@ -16,19 +16,30 @@ import numpy as np
 ENUMERATION_CAP = 12  # Bell(12) = 4,213,597 partitions; larger blows up
 
 
-def canonical_labels(raw: Sequence) -> tuple[int, ...]:
-    """Relabel an arbitrary label sequence into first-occurrence order."""
-    if len(raw) == 0:
-        raise ValueError("empty partition")
-    mapping: dict = {}
-    out = []
-    for x in raw:
-        code = mapping.get(x)
-        if code is None:
-            code = len(mapping)
-            mapping[x] = code
-        out.append(code)
-    return tuple(out)
+def _canonical_rows(a: np.ndarray) -> np.ndarray:
+    """Relabel every row of an integer array into first-occurrence form.
+
+    A stable sort of each row groups equal labels with their first
+    occurrence in front; an item's canonical label is the number of
+    first occurrences before the first occurrence of its own label.
+    Blocks of 64 rows keep the temporaries small.
+    """
+    cols = np.arange(a.shape[1])
+    out = np.empty(a.shape, dtype=np.int32)
+    for lo in range(0, a.shape[0], 64):
+        block = a[lo : lo + 64]
+        order = np.argsort(block, axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        starts = np.ones(block.shape, dtype=bool)
+        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        group_start = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
+        first = np.empty_like(order)  # first[r, i]: first item with i's label
+        np.put_along_axis(
+            first, order, np.take_along_axis(order, group_start, axis=1), axis=1
+        )
+        seen = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
+        out[lo : lo + 64] = np.take_along_axis(seen, first, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,7 @@ class Partition:
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         """Cluster sizes, indexed by cluster label."""
-        counts = [0] * self.k
-        for lab in self.labels:
-            counts[lab] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.labels).tolist())
 
     @cached_property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
@@ -79,8 +87,14 @@ class Partition:
 
 
 def canonicalize(raw_labels: Sequence) -> Partition:
-    """Build the canonical ``Partition`` from any equality-comparable labels."""
-    return Partition(canonical_labels(raw_labels))
+    """Build the canonical ``Partition`` from a flat sequence of sortable
+    labels (integers, strings, ...)."""
+    a = np.asarray(raw_labels)
+    if a.ndim != 1:
+        raise ValueError("labels must be a flat sequence")
+    if not np.issubdtype(a.dtype, np.integer):
+        a = np.unique(a, return_inverse=True)[1]
+    return Partition(tuple(_canonical_rows(a[None, :])[0].tolist()))
 
 
 def one_cluster(n: int) -> Partition:
@@ -93,25 +107,6 @@ def singletons(n: int) -> Partition:
     return Partition(tuple(range(n)))
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Cross-classification counts between two partitions of the same items."""
-
-    counts: np.ndarray  # shape (k, k_hat), entry [i, j] = #{n : c_n = i, d_n = j}
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @cached_property
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def _check_same_items(c: Partition, d: Partition):
     if c.n_items != d.n_items:
         raise ValueError(
@@ -119,19 +114,21 @@ def _check_same_items(c: Partition, d: Partition):
         )
 
 
-def contingency(c: Partition, d: Partition) -> ContingencyTable:
-    """Count items falling in cluster i of ``c`` and cluster j of ``d``."""
+def _pair_codes(c: Partition, d: Partition) -> np.ndarray:
+    """Per item, c * d.k + d: one code per (cluster of c, cluster of d)."""
     _check_same_items(c, d)
-    counts = np.zeros((c.k, d.k), dtype=np.int64)
-    for ci, di in zip(c.labels, d.labels):
-        counts[ci, di] += 1
-    return ContingencyTable(counts)
+    return np.asarray(c.labels) * d.k + np.asarray(d.labels)
+
+
+def contingency(c: Partition, d: Partition) -> np.ndarray:
+    """The (c.k, d.k) array whose entry [i, j] counts the items in cluster
+    i of ``c`` and cluster j of ``d``."""
+    return np.bincount(_pair_codes(c, d), minlength=c.k * d.k).reshape(c.k, d.k)
 
 
 def meet(c: Partition, d: Partition) -> Partition:
     """Greatest lower bound: co-cluster items co-clustered in both inputs."""
-    _check_same_items(c, d)
-    return canonicalize(list(zip(c.labels, d.labels)))
+    return canonicalize(_pair_codes(c, d))
 
 
 def join(c: Partition, d: Partition) -> Partition:
@@ -167,14 +164,9 @@ def join(c: Partition, d: Partition) -> Partition:
 
 
 def leq(c: Partition, d: Partition) -> bool:
-    """True iff every cluster of ``c`` is contained in some cluster of ``d``."""
-    _check_same_items(c, d)
-    seen: dict[int, int] = {}
-    for ci, di in zip(c.labels, d.labels):
-        prev = seen.setdefault(ci, di)
-        if prev != di:
-            return False
-    return True
+    """True iff every cluster of ``c`` is contained in some cluster of ``d``,
+    that is iff each cluster of ``c`` meets a single cluster of ``d``."""
+    return np.unique(_pair_codes(c, d)).size == c.k
 
 
 def covers(d: Partition, c: Partition) -> bool:

@@ -18,41 +18,17 @@ Loss estimators:
   cheap for large M; one per-posterior scalar comes from the draws.
 """
 
+import warnings
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .metrics import Metric, _xlogx
-from .partition import Partition
+from .partition import Partition, _canonical_rows
 
 ESTIMATORS = ("exact", "lower-bound")
 SIMILARITY_BLOCK = 128  # draws compared at once: memory grows as block * N^2
-
-
-def _canonical_rows(a: np.ndarray) -> np.ndarray:
-    """Relabel every row into first-occurrence canonical form.
-
-    A stable sort of each row groups equal labels with their first
-    occurrence in front; an item's canonical label is the number of
-    first occurrences before the first occurrence of its own label.
-    Blocks of 64 rows keep the temporaries small.
-    """
-    cols = np.arange(a.shape[1])
-    out = np.empty(a.shape, dtype=np.int32)
-    for lo in range(0, a.shape[0], 64):
-        block = a[lo : lo + 64]
-        order = np.argsort(block, axis=1, kind="stable")
-        ranked = np.take_along_axis(block, order, axis=1)
-        starts = np.ones(block.shape, dtype=bool)
-        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        group_start = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
-        first = np.empty_like(order)  # first[r, i]: first item with i's label
-        np.put_along_axis(
-            first, order, np.take_along_axis(order, group_start, axis=1), axis=1
-        )
-        seen = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
-        out[lo : lo + 64] = np.take_along_axis(seen, first, axis=1)
-    return out
 
 
 class DrawMatrix:
@@ -78,7 +54,7 @@ class DrawMatrix:
         return self.draws.shape[1]
 
     def row(self, m: int) -> Partition:
-        return Partition(tuple(int(x) for x in self.draws[m]))
+        return Partition(tuple(self.draws[m].tolist()))
 
     @cached_property
     def similarity(self) -> np.ndarray:
@@ -137,33 +113,45 @@ class DrawMatrix:
         )
 
 
+def _parse_labels(rows: list[str]) -> np.ndarray:
+    """The label text parser: comma-separated int64 rows to an array."""
+    with warnings.catch_warnings():
+        # numpy < 2 reads "1.5" as the integer 1, with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, delimiter=",", dtype=np.int64, ndmin=2,
+                          comments=None)
+
+
 def load_draws(source) -> DrawMatrix:
-    """Parse a draw file: one comma-separated label row per line, '#' comments."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    rows = []
-    width = None
-    for line in lines:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split(",")
-        row_no = len(rows) + 1
-        try:
-            row = [int(f) for f in fields]
-        except ValueError:
-            raise ValueError(f"non-integer label in row {row_no}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"ragged row {row_no}")
-        rows.append(row)
+    """Read a draw file (a path or an open text stream) into a ``DrawMatrix``.
+
+    Each row is one partition: its labels as comma-separated integers in
+    the int64 range, which need not be canonical.  Blank lines and lines
+    starting with '#' are skipped.  A ``ValueError`` names the first bad
+    data row N, counted from 1 without the skipped lines: "empty draw
+    file" if no row is left, "non-integer label in row N" if a label is
+    not an int64 integer, and "ragged row N" if row N holds a different
+    number of labels than row 1.
+    """
+    text = (source.read() if hasattr(source, "read")
+            else Path(source).read_text(encoding="utf-8"))
+    rows = [row for row in map(str.strip, text.splitlines())
+            if row and not row.startswith("#")]
     if not rows:
         raise ValueError("empty draw file")
-    return DrawMatrix(np.asarray(rows, dtype=np.int64))
+    try:
+        labels = _parse_labels(rows)
+    except (ValueError, DeprecationWarning):
+        # numpy numbers some rows from 0: name the first bad row here
+        for row_no, row in enumerate(rows, start=1):
+            try:
+                _parse_labels([row])
+            except (ValueError, DeprecationWarning):
+                raise ValueError(f"non-integer label in row {row_no}") from None
+            if row.count(",") != rows[0].count(","):
+                raise ValueError(f"ragged row {row_no}") from None
+        raise
+    return DrawMatrix(labels)
 
 
 def _co_clustering(draws: DrawMatrix) -> np.ndarray:
@@ -312,12 +300,8 @@ def best_sampled(
     Ties are broken by first occurrence in the chain.  Returns the winning
     partition together with its estimated loss.
     """
-    uniques, first = np.unique(draws.draws, axis=0, return_index=True)
-    order = np.argsort(first, kind="stable")
-    best = None
-    for idx in order:
-        candidate = Partition(tuple(int(x) for x in uniques[idx]))
-        loss = expected_loss(candidate, draws, metric, estimator)
-        if best is None or loss < best[0]:
-            best = (loss, candidate)
-    return best[1], best[0]
+    _, first = np.unique(draws.draws, axis=0, return_index=True)
+    candidates = (draws.row(m) for m in np.sort(first))  # in chain order
+    scored = ((expected_loss(c, draws, metric, estimator), c) for c in candidates)
+    loss, best = min(scored, key=lambda pair: pair[0])
+    return best, loss

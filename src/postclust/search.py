@@ -219,6 +219,7 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
             rng_seed=config.seed * 100003 + iteration,
         )
         if not len(moves):
+            stats.append(IterationStats(0, 0, None))
             break
         deltas = _loss_deltas(current, moves, draws, config)
         shortlist = np.flatnonzero(deltas <= deltas.min() + CERTIFY_MARGIN)

@@ -17,6 +17,13 @@ from postclust import (
 )
 
 
+def canonical_labels(raw) -> tuple[int, ...]:
+    """First-occurrence relabelling as a plain dict loop, the reference for
+    the package's vectorised canonicaliser."""
+    mapping: dict = {}
+    return tuple(mapping.setdefault(x, len(mapping)) for x in raw)
+
+
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(enumerate_partitions(n))

@@ -112,3 +112,41 @@ def test_bad_search_option_is_a_usage_error(tmp_path, capsys, extra):
     code = cli.main(["estimate", str(tmp_path / "missing.csv"), *extra])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "{missing}", "0,0,1", "--alpha", "1.5"],
+    ["ball", "{missing}", "0,0,1", "--alpha", "0"],
+    ["simulate", "example1", "--n", "0",
+     "--out-data", "{missing}", "--out-labels", "{missing}.txt"],
+])
+def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.csv"
+    code = cli.main([arg.format(missing=missing) for arg in argv])
+    assert code == 2
+    assert "error: --" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_label_beyond_int64_is_a_data_error(tmp_path, capsys):
+    draws = tmp_path / "draws.csv"
+    draws.write_text("0,0,1\n9223372036854775808,0,1\n")
+    assert cli.main(["estimate", str(draws)]) == 3
+    assert "non-integer label in row 2" in capsys.readouterr().err
+    assert cli.main(["dist", "0,9223372036854775808,1", "0,0,1"]) == 3
+    assert "non-integer label in row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, value", [
+    ("vi", 4 / 3), ("binder", 4 / 9),
+])
+def test_dist_prints_a_plain_float(capsys, metric, value):
+    assert cli.main(["dist", "0,0,1", "0,1,1", "--metric", metric]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(value)
+
+
+def test_partition_file_gives_its_first_row(tmp_path, capsys):
+    center = tmp_path / "center.txt"
+    center.write_text("# estimate\n7,7,3\n0,1,2\n")
+    assert cli.main(["dist", str(center), "5,5,9", "--metric", "binder"]) == 0
+    assert float(capsys.readouterr().out) == 0.0

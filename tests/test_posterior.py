@@ -24,10 +24,10 @@ from postclust import (
     vi,
 )
 
-from postclust.partition import canonical_labels
-from postclust.posterior import SIMILARITY_BLOCK, _canonical_rows
+from postclust.partition import _canonical_rows
+from postclust.posterior import SIMILARITY_BLOCK
 
-from conftest import all_partitions, synthetic_draws
+from conftest import all_partitions, canonical_labels, synthetic_draws
 
 TOL = 1e-12
 
@@ -62,6 +62,25 @@ class TestLoadDraws:
     def test_empty_file(self):
         with pytest.raises(ValueError, match="empty draw file"):
             load_draws(io.StringIO("# nothing here\n"))
+
+    @pytest.mark.parametrize("label", [
+        "9223372036854775808", "-9223372036854775809", "1.5", "1e3", "0x1",
+    ])
+    def test_label_outside_int64_is_a_value_error(self, label):
+        text = f"# header\n0,0\n\n{label},0\n"
+        with pytest.raises(ValueError, match="non-integer label in row 2"):
+            load_draws(io.StringIO(text))
+
+    def test_rows_numbered_from_one_without_skipped_lines(self):
+        with pytest.raises(ValueError, match="^ragged row 3$"):
+            load_draws(io.StringIO("# a\n0,0\n\n1,1\n# b\n0\n0,x\n"))
+        with pytest.raises(ValueError, match="non-integer label in row 3"):
+            load_draws(io.StringIO("# a\n0,0\n1,1\n0,x\n0\n"))
+
+    def test_int64_extremes_are_labels(self):
+        low, high = -(2**63), 2**63 - 1
+        draws = load_draws(io.StringIO(f"{high},{low},{high}\n"))
+        assert draws.draws.tolist() == [[0, 1, 0]]
 
     def test_every_row_is_its_own_canonical_form(self, rng):
         draws = synthetic_draws(rng, 6, 40)

@@ -176,6 +176,20 @@ class TestGreedyDescent:
         assert result.iterations_used >= 1
         assert len(calls) == len(result.stats)
 
+    def test_iteration_without_candidates_is_recorded(self, monkeypatch):
+        # one item: no merge and no split, so the walk stops at once
+        calls = []
+        original = postclust.search.closest_neighbors
+        monkeypatch.setattr(
+            postclust.search, "closest_neighbors",
+            lambda *args, **kw: calls.append(1) or original(*args, **kw),
+        )
+        result = greedy_search(DrawMatrix([[0], [0]]),
+                               SearchConfig(metric=Metric.VI, init="last"))
+        assert len(calls) == len(result.stats) == 1
+        assert (result.stats[0].candidates, result.stats[0].certified,
+                result.stats[0].accepted) == (0, 0, None)
+
     def test_equal_losses_go_to_smaller_labels(self):
         # items 1 and 2 are exchangeable, so joining item 0 with either
         # costs exactly the same; both are certified and 0,0,1 wins
