@@ -16,8 +16,21 @@ Loss estimators:
 * ``expected_vi_lower`` -- Jensen lower bound of ``expected_vi``: every
   candidate-dependent term needs only the similarity matrix, hence is
   cheap for large M; one per-posterior scalar comes from the draws.
+
+``best_sampled`` scores every distinct draw in one scan rather than one
+estimator call each.  The draws are cut into blocks of item-by-cluster
+indicator matrices ``Z`` so small that the product of two blocks holds at
+most ``TILE_CELLS`` cells.  For the exact VI the contingency counts of
+every pair of draws in two blocks are one such product ``Z_I^T Z_J``,
+walked over the tiles with J >= I; for the Binder loss and the lower bound
+each draw's own-cluster similarity mass is read from ``P Z``.  The
+similarity matrix itself is the sum of ``Z Z^T`` over the same blocks.
+Every draw within ``CERTIFY_MARGIN`` of the smallest scanned loss is
+rescored by ``expected_loss``, so the result is that of scoring each draw
+with the estimator, bit for bit.
 """
 
+import math
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -28,7 +41,8 @@ from .metrics import Metric, _xlogx
 from .partition import Partition, _canonical_rows
 
 ESTIMATORS = ("exact", "lower-bound")
-SIMILARITY_BLOCK = 128  # draws compared at once: memory grows as block * N^2
+TILE_CELLS = 2**15  # cells of one product of two blocks' indicator matrices
+CERTIFY_MARGIN = 1e-9  # scanned-loss window rescored by the public estimator
 
 
 class DrawMatrix:
@@ -154,13 +168,41 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(labels)
 
 
+def _blocks(ks: np.ndarray) -> list[slice]:
+    """Consecutive runs of draws with ``ks`` clusters each.
+
+    A run holds at most sqrt(TILE_CELLS) clusters together, so that the
+    product of the indicator matrices of two runs has at most
+    ``TILE_CELLS`` cells and each indicator matrix at most N sqrt(TILE_CELLS);
+    a draw with more clusters is a run of its own.
+    """
+    width = math.isqrt(TILE_CELLS)
+    bounds, held = [0], 0
+    for i, k in enumerate(ks.tolist()):
+        if held and held + k > width:
+            bounds.append(i)
+            held = 0
+        held += k
+    bounds.append(len(ks))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _block_onehot(rows: np.ndarray, ks: np.ndarray,
+                  dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The item-by-cluster indicators of canonical label ``rows`` side by
+    side, and the column where each row's clusters start."""
+    start = np.cumsum(ks) - ks
+    z = np.zeros((rows.shape[1], int(ks.sum())), dtype)
+    z[np.arange(rows.shape[1]), rows + start[:, None]] = 1
+    return z, start
+
+
 def _co_clustering(draws: DrawMatrix) -> np.ndarray:
     n = draws.n
-    counts = np.zeros((n, n), dtype=np.int64)
-    a = draws.draws
-    for start in range(0, draws.m, SIMILARITY_BLOCK):
-        block = a[start : start + SIMILARITY_BLOCK]
-        counts += (block[:, :, None] == block[:, None, :]).sum(axis=0)
+    counts = np.zeros((n, n))  # integers, so exact in float64
+    for block in _blocks(draws._ks):
+        z, _ = _block_onehot(draws.draws[block], draws._ks[block], np.float64)
+        counts += z @ z.T
     p = counts / draws.m
     p.setflags(write=False)
     return p
@@ -189,9 +231,7 @@ def _check_similarity(candidate: Partition, psm: np.ndarray):
 
 
 def _onehot(c: Partition) -> np.ndarray:
-    z = np.zeros((c.n_items, c.k))
-    z[np.arange(c.n_items), c.labels] = 1.0
-    return z
+    return _block_onehot(np.asarray([c.labels]), np.array([c.k]), np.float64)[0]
 
 
 def _check_estimator(metric: Metric, estimator: str):
@@ -292,16 +332,86 @@ def expected_loss(
     return expected_vi_lower(candidate, psm, draws)
 
 
+def _scan_joint(rows: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row u of distinct draws: Σ_v weights[v] Σ_cells n log2 n over the
+    contingency counts of u against row v.
+
+    The counts of two blocks are one float32 product of their indicator
+    matrices, exact since they are integers <= N.  Only tiles with J >= I
+    are walked: an off-diagonal tile also adds to block J, weighted by the
+    draws of block I.
+    """
+    n = rows.shape[1]
+    table = _xlogx(np.arange(n + 1))
+    joint = np.zeros(len(rows))
+    blocks = _blocks(ks)
+    for i, bi in enumerate(blocks):
+        zi, start_i = _block_onehot(rows[bi], ks[bi], np.float32)
+        wi = np.repeat(weights[bi], ks[bi])  # each cluster weighted by its draw
+        for bj in blocks[i:]:
+            zj, start_j = _block_onehot(rows[bj], ks[bj], np.float32)
+            cells = table.take((zi.T @ zj).astype(np.intp))
+            joint[bi] += np.add.reduceat(cells @ np.repeat(weights[bj], ks[bj]),
+                                         start_i)
+            if bj is not bi:
+                joint[bj] += np.add.reduceat(wi @ cells, start_j)
+    return joint
+
+
+def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
+                   psm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of distinct draws: Σ_n mass_n and Σ_n log2 mass_n, with
+    mass_n the similarity of item n to its own cluster, diagonal included."""
+    n = rows.shape[1]
+    total, logs = np.empty(len(rows)), np.empty(len(rows))
+    for block in _blocks(ks):
+        z, start = _block_onehot(rows[block], ks[block], np.float64)
+        own = (psm @ z)[np.arange(n), rows[block] + start[:, None]]
+        total[block] = own.sum(axis=1)
+        logs[block] = np.log2(own).sum(axis=1)
+    return total, logs
+
+
+def _scanned_losses(draws: DrawMatrix, metric: Metric,
+                    estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of every distinct draw, in chain order, and the
+    loss the scan gives it: the estimator's value up to rounding."""
+    _, first, counts = np.unique(draws.draws, axis=0, return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    first, weights = first[order], counts[order].astype(np.float64)
+    rows, ks = draws.draws[first], draws._ks[first]
+    n, m = draws.n, draws.m
+    a = float(draws._row_xlogx.sum())
+    b = draws._row_xlogx[first]
+    if metric is Metric.VI and estimator == "exact":
+        joint = _scan_joint(rows, ks, weights)
+        return first, ((a + b * m - 2.0 * joint) / m) / n
+    psm = draws.similarity
+    mass, log_mass = _scan_own_mass(rows, ks, psm)
+    if metric is Metric.BINDER:
+        pairs = (psm.sum() - n) / 2.0  # Σ_{i<j} p_ij
+        same = (draws._row_sumsq[first] - n) / 2.0  # co-clustered pairs
+        return first, 2.0 * (pairs + same - (mass - n)) / (n * n)
+    return first, (a / m + b - 2.0 * log_mass) / n
+
+
 def best_sampled(
     draws: DrawMatrix, metric: Metric, estimator: str = "exact"
 ) -> tuple[Partition, float]:
     """The sampled partition minimizing the chosen posterior expected loss.
 
-    Ties are broken by first occurrence in the chain.  Returns the winning
+    One scan scores every distinct draw from shared statistics, in tiles
+    of at most ``TILE_CELLS`` cells; every draw within
+    ``CERTIFY_MARGIN`` of the smallest scanned loss is then rescored by
+    ``expected_loss``.  The scan is exact up to rounding far below the
+    margin, so the estimator's minimizer is always rescored.  Ties are
+    broken by first occurrence in the chain.  Returns the winning
     partition together with its estimated loss.
     """
-    _, first = np.unique(draws.draws, axis=0, return_index=True)
-    candidates = (draws.row(m) for m in np.sort(first))  # in chain order
-    scored = ((expected_loss(c, draws, metric, estimator), c) for c in candidates)
-    loss, best = min(scored, key=lambda pair: pair[0])
-    return best, loss
+    _check_estimator(metric, estimator)
+    first, loss = _scanned_losses(draws, metric, estimator)
+    shortlist = [draws.row(u) for u in first[loss <= loss.min() + CERTIFY_MARGIN]]
+    rescored = [expected_loss(c, draws, metric, estimator) for c in shortlist]
+    best = int(np.argmin(rescored))
+    return shortlist[best], rescored[best]

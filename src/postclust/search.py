@@ -36,11 +36,11 @@ import numpy as np
 from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
 from .posterior import (
-    DrawMatrix, _check_estimator, _onehot, best_sampled, expected_loss,
+    CERTIFY_MARGIN, DrawMatrix, _check_estimator, _onehot, best_sampled,
+    expected_loss,
 )
 
 IMPROVEMENT_TOL = 1e-12  # required strict decrease before a move is accepted
-CERTIFY_MARGIN = 1e-9  # loss-change window rescored by the public estimator
 
 
 @dataclass

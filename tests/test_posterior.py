@@ -24,12 +24,18 @@ from postclust import (
     vi,
 )
 
+import postclust.posterior
 from postclust.partition import _canonical_rows
-from postclust.posterior import SIMILARITY_BLOCK
+from postclust.posterior import _scanned_losses
 
 from conftest import all_partitions, canonical_labels, synthetic_draws
 
 TOL = 1e-12
+ESTIMATES = [
+    (Metric.BINDER, "exact"),
+    (Metric.VI, "exact"),
+    (Metric.VI, "lower-bound"),
+]
 
 
 def part_of_row(draws, m):
@@ -136,13 +142,16 @@ class TestSimilarityMatrix:
         assert draws.similarity is psm
         assert psm.shape == (6, 6) and not psm.flags.writeable
 
-    def test_chunking_invariant(self, rng):
-        # the draws are compared in blocks of SIMILARITY_BLOCK; with two
-        # full blocks and a partial third the sum must still be exact
-        m = 2 * SIMILARITY_BLOCK + 17
-        draws = synthetic_draws(rng, 7, m)
-        brute = np.mean([row[:, None] == row[None, :] for row in draws.draws], axis=0)
-        np.testing.assert_array_equal(similarity_matrix(draws), brute)
+    def test_chunking_invariant(self, rng, monkeypatch):
+        # the draws are summed in blocks of at most TILE_CELLS indicator
+        # cells; one draw per block, several, or all at once, the counts
+        # are integers and the matrix must be exact
+        rows = synthetic_draws(rng, 7, 300).draws
+        brute = np.mean([row[:, None] == row[None, :] for row in rows], axis=0)
+        for cells in (1, 40, 2**30):
+            monkeypatch.setattr(postclust.posterior, "TILE_CELLS", cells)
+            np.testing.assert_array_equal(similarity_matrix(DrawMatrix(rows)),
+                                          brute)
 
     @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (4, 4), (6, 6), (25,)])
     def test_must_be_n_by_n_for_the_candidate(self, shape):
@@ -333,6 +342,75 @@ class TestBestSampled:
         draws = DrawMatrix(np.array([[0, 0, 1]]))
         with pytest.raises(ValueError):
             best_sampled(draws, Metric.BINDER, "lower-bound")
+
+    @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    def test_tie_broken_by_first_occurrence_for_every_estimator(
+        self, metric, estimator
+    ):
+        # the two draws mirror each other (swap items 1 and 3), so every
+        # estimator gives them the same loss: the first row wins
+        rows = np.array([[0, 1, 2, 2], [0, 1, 1, 2]])
+        for order in (rows, rows[::-1]):
+            draws = DrawMatrix(order)
+            part, loss = best_sampled(draws, metric, estimator)
+            assert part.labels == tuple(order[0])
+            assert loss == expected_loss(part, draws, metric, estimator)
+
+    @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    @pytest.mark.parametrize("rows", [
+        [[0], [0], [0]],  # one item
+        [[0, 1, 1, 0, 2]],  # one draw
+        [[0, 0, 1, 2, 2]] * 6,  # degenerate posterior
+    ])
+    def test_edge_posteriors(self, metric, estimator, rows):
+        draws = DrawMatrix(np.array(rows))
+        part, loss = best_sampled(draws, metric, estimator)
+        assert part.labels == tuple(rows[0])
+        assert loss == pytest.approx(0.0, abs=TOL)
+        assert loss == expected_loss(part, draws, metric, estimator)
+
+
+def reference_best(draws, metric, estimator):
+    """The draw of smallest public expected loss, one call per distinct
+    draw in chain order, ties to the first."""
+    _, first = np.unique(draws.draws, axis=0, return_index=True)
+    best = None
+    for m in np.sort(first):
+        c = draws.row(m)
+        loss = expected_loss(c, draws, metric, estimator)
+        if best is None or loss < best[1]:
+            best = (c, loss)
+    return best
+
+
+class TestScan:
+    @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    def test_scanned_loss_of_every_draw_matches_the_estimator(
+        self, rng, metric, estimator
+    ):
+        for n, m, support in ((6, 40, 5), (9, 120, 30), (30, 200, 60)):
+            draws = synthetic_draws(rng, n, m, support=support)
+            first, scanned = _scanned_losses(draws, metric, estimator)
+            assert np.all(np.diff(first) > 0)  # chain order
+            assert len(first) == len(np.unique(draws.draws, axis=0))
+            exact = [expected_loss(draws.row(u), draws, metric, estimator)
+                     for u in first]
+            np.testing.assert_allclose(scanned, exact, rtol=0, atol=TOL)
+
+    @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    @pytest.mark.parametrize("cells", [1, 64, 2**30])
+    def test_any_tile_budget_gives_the_reference_draw(
+        self, rng, monkeypatch, metric, estimator, cells
+    ):
+        # 1 cell puts every draw in a tile of its own, wider than the
+        # budget; 64 packs a few draws per tile and walks off-diagonal
+        # tiles; 2**30 scans everything as one diagonal tile
+        monkeypatch.setattr(postclust.posterior, "TILE_CELLS", cells)
+        for n, m, support in ((5, 30, 4), (8, 60, 25), (12, 80, None)):
+            draws = synthetic_draws(rng, n, m, support=support)
+            part, loss = best_sampled(draws, metric, estimator)
+            ref_part, ref_loss = reference_best(draws, metric, estimator)
+            assert part == ref_part and loss == ref_loss
 
 
 class TestArgminConsistency:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import postclust.posterior
 import postclust.search
 from postclust import (
     DrawMatrix,
@@ -17,6 +18,7 @@ from postclust import (
     singletons,
 )
 
+from postclust.posterior import CERTIFY_MARGIN, _scanned_losses
 from postclust.search import IMPROVEMENT_TOL, _loss_deltas, _pick_best
 
 from conftest import all_partitions, synthetic_draws
@@ -175,6 +177,28 @@ class TestGreedyDescent:
         ))
         assert result.iterations_used >= 1
         assert len(calls) == len(result.stats)
+
+    def test_best_draw_comes_through_the_module_bindings(self, rng, monkeypatch):
+        # the benchmark's tracer wraps postclust.search.best_sampled and
+        # postclust.posterior.expected_loss: the search must find the start
+        # there, and best_sampled must certify its shortlist through the
+        # latter, one call per shortlisted draw
+        calls = {"best_sampled": 0, "expected_loss": 0}
+        for module, name in ((postclust.search, "best_sampled"),
+                             (postclust.posterior, "expected_loss")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        draws = synthetic_draws(rng, 8, 40, support=6)
+        greedy_search(draws, SearchConfig(metric=Metric.VI, max_iters=1))
+        assert calls["best_sampled"] == 1
+        _, scanned = _scanned_losses(draws, Metric.VI, "exact")
+        shortlist = np.sum(scanned <= scanned.min() + CERTIFY_MARGIN)
+        assert calls["expected_loss"] == shortlist >= 1
 
     def test_iteration_without_candidates_is_recorded(self, monkeypatch):
         # one item: no merge and no split, so the walk stops at once
