@@ -20,7 +20,6 @@ import json
 import os
 import platform
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,14 +111,11 @@ def _cmd_estimate(args, argv) -> int:
     if init not in ("best", "last"):
         init = _read_partition(init)
     try:  # the command line alone decides these: a usage error
-        if args.restarts < 1:
-            raise ValueError(f"--restarts ({args.restarts}) must be >= 1")
         config = SearchConfig(
             metric=METRICS[args.metric],
             estimator=ESTIMATORS[args.estimator],
             l=args.l,
             max_iters=args.max_iters,
-            seed=args.seed,
             init=init,
         )
     except ValueError as exc:
@@ -127,10 +123,6 @@ def _cmd_estimate(args, argv) -> int:
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
     result = greedy_search(draws, config)
-    for extra in range(1, args.restarts):
-        other = greedy_search(draws, replace(config, seed=args.seed + extra))
-        if other.expected_loss < result.expected_loss:
-            result = other
     optimum = result.optimum
     payload = {
         "labels": str(optimum),
@@ -141,7 +133,6 @@ def _cmd_estimate(args, argv) -> int:
         "expected_binder": expected_binder(optimum, psm),
         "expected_vi": expected_vi(optimum, draws),
         "iterations_used": result.iterations_used,
-        "seed": args.seed,
     }
     if args.trajectory:
         _write_trajectory(args.trajectory, result)
@@ -284,11 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=sorted(ESTIMATORS), default="exact")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", default="best",
                    help="'best', 'last', or a partition file/labels")
-    p.add_argument("--restarts", type=int, default=1,
-                   help="independent seeded runs; best result wins")
     p.add_argument("--out", default=None, help="write result JSON here")
     p.add_argument("--trajectory", default=None,
                    help="write the descent trajectory CSV here")

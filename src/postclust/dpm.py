@@ -78,7 +78,6 @@ class SamplerConfig:
     iterations: int = 1000
     burn_in: int = 0
     seed: int = 0
-    random_scan: bool = False
 
     def __post_init__(self):
         for name in ("mu0", "c", "a", "b", "alpha0", "alpha_prior"):
@@ -264,10 +263,10 @@ def gibbs_run(
     """Run the collapsed sampler and return post-burn-in partition draws.
 
     Items are seated sequentially by the prior predictive to initialize,
-    then ``config.iterations`` full sweeps are performed; the partition
-    after each post-burn-in sweep becomes one row of the result.  Passing a
-    list as ``trace`` appends one (sweep, cluster_count, alpha) tuple per
-    sweep, burn-in included.
+    then ``config.iterations`` full sweeps in item order are performed; the
+    partition after each post-burn-in sweep becomes one row of the result.
+    Passing a list as ``trace`` appends one (sweep, cluster_count, alpha)
+    tuple per sweep, burn-in included.
     """
     model = _Model(config, data.d, data.n)
     rng = np.random.default_rng(config.seed)
@@ -280,11 +279,7 @@ def gibbs_run(
         (config.iterations - config.burn_in, data.n), dtype=np.int32
     )
     for sweep in range(config.iterations):
-        if config.random_scan:
-            order = rng.permutation(data.n).tolist()
-        else:
-            order = range(data.n)
-        for i, u in zip(order, rng.random(data.n).tolist()):
+        for i, u in enumerate(rng.random(data.n).tolist()):
             state.remove(i)
             state.assign(i, u)
         if config.alpha_prior is not None:

@@ -31,12 +31,20 @@ __all__ = [
     "closest_neighbors",
 ]
 
+EXHAUSTIVE_SPLIT_LIMIT = 8  # clusters up to this size have every split listed
+BALANCED_SAMPLES = 5  # random splits of a larger cluster per coarser size
+
 
 class Metric(enum.Enum):
     """Which partition distance to use."""
 
     VI = "vi"
     BINDER = "binder"
+
+
+def _check_metric(metric: Metric):
+    if not isinstance(metric, Metric):
+        raise ValueError(f"metric must be a Metric, not {metric!r}")
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
@@ -109,6 +117,7 @@ def merge_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
     The two partitions are nested, so this is also the cost of splitting
     one cluster into parts of these sizes.
     """
+    _check_metric(metric)
     ni, nj = sizes
     if metric is Metric.VI:
         m = ni + nj
@@ -153,10 +162,7 @@ def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
 
 
 def _split_parts(
-    c: Partition,
-    rng: np.random.Generator,
-    balanced_samples: int,
-    exhaustive_limit: int,
+    c: Partition, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every generated split as (split cluster, moved-count m, part mask).
 
@@ -171,7 +177,7 @@ def _split_parts(
         size = len(members)
         if size < 2:
             continue
-        if size <= exhaustive_limit:
+        if size <= EXHAUSTIVE_SPLIT_LIMIT:
             # All binary splits: the items of members[1:] whose bit is
             # clear in the mask move; members[0] always stays.
             masks = np.arange(2 ** (size - 1) - 1)[:, None]
@@ -183,7 +189,7 @@ def _split_parts(
             picks = [
                 rng.choice(size, size=m, replace=False)
                 for m in range(2, size // 2 + 1)
-                for _ in range(balanced_samples)
+                for _ in range(BALANCED_SAMPLES)
             ]
             moved = np.zeros((size + len(picks), size), dtype=bool)
             moved[np.arange(size), np.arange(size)] = True
@@ -198,24 +204,19 @@ def _split_parts(
 
 
 def closest_neighbors(
-    c: Partition,
-    metric: Metric,
-    l: int,
-    rng_seed: int = 0,
-    balanced_samples: int = 5,
-    exhaustive_split_limit: int = 8,
+    c: Partition, metric: Metric, l: int, rng_seed: int = 0
 ) -> Neighbors:
     """Generate up to ``l`` nearest covering partitions (merges) and up to
     ``l`` nearest covered partitions (splits) of ``c``.
 
     Merges are enumerated completely (k(k-1)/2 of them) and ranked by their
-    exact distance.  Splits of clusters up to ``exhaustive_split_limit``
+    exact distance.  Splits of clusters up to ``EXHAUSTIVE_SPLIT_LIMIT``
     items are enumerated completely; larger clusters contribute all
-    single-item peel-offs plus ``balanced_samples`` seeded random splits per
-    coarser size profile, since peel-offs are provably the locally closest
-    splits while the random coarser ones widen the search.  Ties are broken
-    by the candidate's canonical label sequence, so identical inputs always
-    give identical output.
+    single-item peel-offs plus ``BALANCED_SAMPLES`` random splits, drawn
+    from ``rng_seed``, per coarser size profile, since peel-offs are
+    provably the locally closest splits while the random coarser ones widen
+    the search.  Ties are broken by the candidate's canonical label
+    sequence, so identical inputs always give identical output.
 
     Each candidate also carries its move (the two merged clusters, or the
     split cluster and the piece cut off), so that the greedy search can
@@ -233,10 +234,7 @@ def closest_neighbors(
     m_delta = _pair_deltas(sizes[a], sizes[b], n, metric)
     m_pick = np.lexsort((a, b, m_delta))[:l]
 
-    rng = np.random.default_rng(rng_seed)
-    cluster, moved, part = _split_parts(
-        c, rng, balanced_samples, exhaustive_split_limit
-    )
+    cluster, moved, part = _split_parts(c, np.random.default_rng(rng_seed))
     # Each mask as one byte string: numpy orders and dedups those bytewise,
     # which for packed bits is the lexicographic order of the masks.
     keys = np.packbits(part, axis=1)

@@ -175,17 +175,18 @@ def covers(d: Partition, c: Partition) -> bool:
     return d.k == c.k - 1 and leq(c, d)
 
 
-def enumerate_partitions(n: int, cap: int = ENUMERATION_CAP) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of ``n`` items exactly once, in canonical form.
 
     Partitions are produced as restricted-growth strings in lexicographic
     order, so the stream is deterministic.  The count equals the n-th Bell
-    number, which explodes quickly; ``cap`` guards against runaway loops.
+    number, which explodes quickly; ``ENUMERATION_CAP`` guards against
+    runaway loops.
     """
     if n < 1:
         raise ValueError("empty partition")
-    if n > cap:
-        raise ValueError(f"enumeration too large: n={n} exceeds cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration too large: n={n} > {ENUMERATION_CAP}")
     labels = [0] * n
     maxima = [0] * n  # maxima[i] = max(labels[: i + 1])
     while True:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import Metric, _xlogx
+from .metrics import Metric, _check_metric, _xlogx
 from .partition import Partition, _canonical_rows
 
 ESTIMATORS = ("exact", "lower-bound")
@@ -236,6 +236,7 @@ def _onehot(c: Partition) -> np.ndarray:
 
 def _check_estimator(metric: Metric, estimator: str):
     """The one check of a (metric, estimator) pair."""
+    _check_metric(metric)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if metric is Metric.BINDER and estimator != "exact":
@@ -303,6 +304,7 @@ def expected_vi_lower(
 
 def draw_distances(center: Partition, draws: DrawMatrix, metric: Metric) -> np.ndarray:
     """Distance from ``center`` to every draw, as a length-M vector."""
+    _check_metric(metric)
     _check_candidate(center, draws.n)
     joint = draws._joint_counts(center)
     seg = draws._cellptr[:-1] * center.k

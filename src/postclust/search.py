@@ -58,7 +58,6 @@ class SearchConfig:
     estimator: str = "exact"
     l: int | None = None
     max_iters: int = 100
-    seed: int = 0
     init: str | Partition = "best"
 
     def __post_init__(self):
@@ -67,7 +66,8 @@ class SearchConfig:
             raise ValueError("candidate budget l must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if isinstance(self.init, str) and self.init not in ("best", "last"):
+        if not (isinstance(self.init, Partition)
+                or isinstance(self.init, str) and self.init in ("best", "last")):
             raise ValueError("init must be 'best', 'last', or a Partition")
 
 
@@ -204,8 +204,8 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
 
     Returns the final partition, its estimated loss, the number of accepted
     moves, the full descent trajectory and per-iteration stats.  Identical
-    inputs (including the seed, which drives split-candidate sampling) give
-    bit-identical results.
+    inputs give bit-identical results: iteration t samples split candidates
+    with seed t.
     """
     current, current_loss = _initial(draws, config)
     trajectory = [(current, current_loss)]
@@ -214,10 +214,8 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
         budget = config.l
         if budget is None:
             budget = min(2 * current.k * current.k, 200)
-        moves = closest_neighbors(
-            current, config.metric, budget,
-            rng_seed=config.seed * 100003 + iteration,
-        )
+        moves = closest_neighbors(current, config.metric, budget,
+                                  rng_seed=iteration)
         if not len(moves):
             stats.append(IterationStats(0, 0, None))
             break

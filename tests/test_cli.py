@@ -96,13 +96,13 @@ def test_estimate_builds_the_similarity_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(posterior, "_co_clustering",
                         lambda *args, **kw: built.append(1) or original(*args, **kw))
     assert cli.main(["estimate", str(draws), "--metric", "binder",
-                     "--restarts", "3", "--out", str(tmp_path / "e.json")]) == 0
+                     "--out", str(tmp_path / "e.json")]) == 0
     assert len(built) == 1
 
 
 @pytest.mark.parametrize("extra", [
-    ["--restarts", "0"],
-    ["--restarts", "-3"],
+    ["--l", "-1"],
+    ["--max-iters", "-3"],
     ["--l", "0"],
     ["--max-iters", "0"],
     ["--metric", "binder", "--estimator", "lb"],
@@ -112,6 +112,19 @@ def test_bad_search_option_is_a_usage_error(tmp_path, capsys, extra):
     code = cli.main(["estimate", str(tmp_path / "missing.csv"), *extra])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seed", "1"],
+    ["--restarts", "3"],
+    ["--restarts", "0"],
+])
+def test_removed_search_option_is_rejected_by_argparse(tmp_path, capsys, extra):
+    # the search has no seed and no restarts: the options are unknown
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", str(tmp_path / "missing.csv"), *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -158,11 +158,9 @@ class TestChainPin:
     @pytest.mark.parametrize("extra, digest", [
         (dict(seed=1),
          "744cf64175ba8f1a04e8887fbed646dd70a1286972979b3c557c3bbfd77b85f3"),
-        (dict(seed=2, random_scan=True),
-         "a87a2cb1e8fed3f43ac6d9c0604ad982c86f1a5bccfdbb3c7db242fb04ee0d5d"),
         (dict(seed=3, alpha_prior=None, alpha0=2.0),
          "26555322c2e55e5552db9e5d06238ac9f8acbea951945707e37c72fe4a5c7039"),
-    ], ids=["gamma-prior", "random-scan", "fixed-alpha"])
+    ], ids=["gamma-prior", "fixed-alpha"])
     def test_chain_is_pinned(self, extra, digest):
         assert _chain_sha(SamplerConfig(**self.base(), **extra)) == digest
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import postclust.metrics
+
 from postclust import (
     Metric,
     Partition,
@@ -267,7 +269,7 @@ class TestClosestNeighbors:
         with pytest.raises(ValueError):
             closest_neighbors(one_cluster(4), Metric.VI, l=0)
 
-    def test_matches_reference_loop(self):
+    def test_matches_reference_loop(self, monkeypatch):
         # same candidates, order and delta bits as a plain loop that builds
         # and canonicalizes every label list, random splits included
         rng = np.random.default_rng(7)
@@ -277,10 +279,10 @@ class TestClosestNeighbors:
             l = int(rng.integers(1, 40))
             seed, samples = int(rng.integers(0, 999)), int(rng.integers(1, 6))
             limit = int(rng.integers(1, 9))
+            monkeypatch.setattr(postclust.metrics, "BALANCED_SAMPLES", samples)
+            monkeypatch.setattr(postclust.metrics, "EXHAUSTIVE_SPLIT_LIMIT", limit)
             for metric in BOTH:
-                got = neighbor_list(
-                    closest_neighbors(c, metric, l, seed, samples, limit)
-                )
+                got = neighbor_list(closest_neighbors(c, metric, l, seed))
                 assert got == reference_neighbors(c, metric, l, seed, samples, limit)
 
 

@@ -9,15 +9,19 @@ from postclust import (
     DrawMatrix,
     Metric,
     Partition,
+    SearchConfig,
     best_sampled,
     binder,
     canonicalize,
+    closest_neighbors,
+    credible_ball,
     draw_distances,
     expected_binder,
     expected_loss,
     expected_vi,
     expected_vi_lower,
     load_draws,
+    merge_delta,
     one_cluster,
     similarity_matrix,
     singletons,
@@ -434,3 +438,25 @@ class TestArgminConsistency:
         )
         by_sq = min(parts, key=lambda p: (sum_sq(p), p.labels))
         assert by_loss == by_sq
+
+
+class TestMetricType:
+    """A metric given as its name, not a ``Metric``, would take the other
+    loss's branch (``"binder"`` would score the VI lower bound), so every
+    entry point that branches on the metric rejects it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda c, d, m: expected_loss(c, d, m),
+        lambda c, d, m: best_sampled(d, m),
+        lambda c, d, m: SearchConfig(metric=m),
+        lambda c, d, m: draw_distances(c, d, m),
+        lambda c, d, m: credible_ball(c, d, 0.05, m),
+        lambda c, d, m: merge_delta((1, 2), 4, m),
+        lambda c, d, m: closest_neighbors(c, m, 5),
+    ], ids=["expected_loss", "best_sampled", "SearchConfig", "draw_distances",
+            "credible_ball", "merge_delta", "closest_neighbors"])
+    @pytest.mark.parametrize("metric", ["vi", "binder"])
+    def test_metric_name_rejected(self, call, metric):
+        draws = DrawMatrix([[0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1]])
+        with pytest.raises(ValueError, match="must be a Metric"):
+            call(draws.row(0), draws, metric)

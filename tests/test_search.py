@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import postclust.metrics
 import postclust.posterior
 import postclust.search
 from postclust import (
@@ -11,6 +14,7 @@ from postclust import (
     best_sampled,
     canonicalize,
     closest_neighbors,
+    contingency,
     expected_loss,
     greedy_search,
     one_cluster,
@@ -41,7 +45,7 @@ def reference_search(draws, config):
     for iteration in range(1, config.max_iters + 1):
         budget = config.l or min(2 * current.k * current.k, 200)
         moves = closest_neighbors(current, config.metric, budget,
-                                  rng_seed=config.seed * 100003 + iteration)
+                                  rng_seed=iteration)
         if not len(moves):
             break
         part_loss, _, part = min(
@@ -71,8 +75,11 @@ class TestConfigValidation:
             SearchConfig(metric=Metric.VI, max_iters=0)
 
     def test_bad_init(self):
-        with pytest.raises(ValueError):
-            SearchConfig(metric=Metric.VI, init="first")
+        # labels that are not a Partition would silently start from the
+        # last draw
+        for init in ("first", [0, 0, 0, 0], (0, 0, 1), np.zeros(4, int)):
+            with pytest.raises(ValueError, match="init must be"):
+                SearchConfig(metric=Metric.VI, init=init)
 
 
 class TestGreedyDescent:
@@ -82,7 +89,7 @@ class TestGreedyDescent:
         for metric in (Metric.VI, Metric.BINDER):
             result = greedy_search(
                 draws,
-                SearchConfig(metric=metric, init=singletons(5), seed=3),
+                SearchConfig(metric=metric, init=singletons(5)),
             )
             assert result.optimum == c
             assert result.expected_loss == pytest.approx(0.0, abs=1e-12)
@@ -97,9 +104,7 @@ class TestGreedyDescent:
 
     def test_trajectory_strictly_decreasing(self, rng):
         draws = synthetic_draws(rng, 6, 40, support=8)
-        result = greedy_search(
-            draws, SearchConfig(metric=Metric.VI, seed=11)
-        )
+        result = greedy_search(draws, SearchConfig(metric=Metric.VI))
         losses = [loss for _, loss in result.trajectory]
         assert all(b < a - 1e-12 for a, b in zip(losses, losses[1:]))
         assert result.trajectory[-1][0] == result.optimum
@@ -110,9 +115,7 @@ class TestGreedyDescent:
             draws = synthetic_draws(rng, 6, 30, support=6)
             for metric in (Metric.VI, Metric.BINDER):
                 init, init_loss = best_sampled(draws, metric)
-                result = greedy_search(
-                    draws, SearchConfig(metric=metric, seed=5)
-                )
+                result = greedy_search(draws, SearchConfig(metric=metric))
                 assert result.expected_loss <= init_loss + 1e-12
 
     def test_max_iters_bounds_moves(self, rng):
@@ -127,7 +130,7 @@ class TestGreedyDescent:
 
     def test_reproducible_bit_for_bit(self, rng):
         draws = synthetic_draws(rng, 7, 35, support=9)
-        config = SearchConfig(metric=Metric.VI, seed=17)
+        config = SearchConfig(metric=Metric.VI)
         a = greedy_search(draws, config)
         b = greedy_search(draws, config)
         assert a.optimum == b.optimum
@@ -147,7 +150,7 @@ class TestGreedyDescent:
 
     def test_stats_record_each_iteration(self, rng):
         draws = synthetic_draws(rng, 8, 40, support=6)
-        config = SearchConfig(metric=Metric.BINDER, init=singletons(8), seed=2)
+        config = SearchConfig(metric=Metric.BINDER, init=singletons(8))
         result = greedy_search(draws, config)
         assert len(result.stats) == result.iterations_used + 1
         assert result.stats[-1].accepted is None
@@ -158,7 +161,7 @@ class TestGreedyDescent:
             )
             budget = min(2 * before.k * before.k, 200)
             assert stats.candidates == len(closest_neighbors(
-                before, Metric.BINDER, budget, rng_seed=2 * 100003 + iteration
+                before, Metric.BINDER, budget, rng_seed=iteration
             ))
             assert 1 <= stats.certified <= stats.candidates
 
@@ -240,8 +243,10 @@ class TestMoveDeltas:
     estimator's difference, for every kind of move."""
 
     @pytest.mark.parametrize("metric, estimator", ESTIMATES)
-    def test_every_neighbor_matches_estimator(self, metric, estimator):
+    def test_every_neighbor_matches_estimator(self, metric, estimator,
+                                              monkeypatch):
         limit = 4  # larger clusters get peel-offs and balanced random splits
+        monkeypatch.setattr(postclust.metrics, "EXHAUSTIVE_SPLIT_LIMIT", limit)
         config = SearchConfig(metric=metric, estimator=estimator)
         kinds = set()
         for seed in range(12):
@@ -250,8 +255,7 @@ class TestMoveDeltas:
             support = None if seed % 2 else int(rng.integers(2, 8))
             draws = synthetic_draws(rng, n, int(rng.integers(5, 40)), support)
             for start in (draws.row(0), draws.row(draws.m - 1), one_cluster(n)):
-                moves = closest_neighbors(start, metric, 10**6, seed,
-                                          exhaustive_split_limit=limit)
+                moves = closest_neighbors(start, metric, 10**6, seed)
                 deltas = _loss_deltas(start, moves, draws, config)
                 base = expected_loss(start, draws, metric, estimator)
                 for t, row in enumerate(moves.labels.tolist()):
@@ -282,7 +286,7 @@ class TestFullEvaluationAgreement:
             support = None if seed % 2 else int(rng.integers(2, 9))
             draws = synthetic_draws(rng, n, int(rng.integers(3, 40)), support)
             config = SearchConfig(metric=metric, estimator=estimator,
-                                  init=init, seed=seed, l=(None, 2)[seed % 2])
+                                  init=init, l=(None, 2)[seed % 2])
             result = greedy_search(draws, config)
             assert [(p.labels, loss) for p, loss in result.trajectory] == (
                 reference_search(draws, config)
@@ -320,9 +324,7 @@ class TestOracleAgreement:
             )
             result = greedy_search(
                 draws,
-                SearchConfig(
-                    metric=metric, estimator=estimator, l=10**6, seed=seed
-                ),
+                SearchConfig(metric=metric, estimator=estimator, l=10**6),
             )
             if (
                 result.optimum.labels == oracle_labels
@@ -336,3 +338,65 @@ class TestOracleAgreement:
 
     def test_binder_trials(self):
         assert self.run_trials(Metric.BINDER, "exact", range(25)) >= 24
+
+
+def noisy_posterior(seed: int) -> DrawMatrix:
+    """40 draws of clusters of 10, 12 and 9 items, each draw with 3 items
+    relabelled at random (possibly into a fourth cluster)."""
+    rng = np.random.default_rng(seed)
+    truth = np.repeat(np.arange(3), (10, 12, 9))
+    rows = np.tile(truth, (40, 1))
+    for row in rows:
+        moved = rng.choice(truth.size, size=3, replace=False)
+        row[moved] = rng.integers(0, 4, size=3)
+    return DrawMatrix(rows)
+
+
+def search_digest(result) -> str:
+    steps = [(p.labels, loss) for p, loss in result.trajectory]
+    return hashlib.sha256(repr(steps).encode()).hexdigest()
+
+
+class TestTrajectoryPin:
+    """Sha256 of the labels and loss bits of every step of seeded searches,
+    recorded before the split sampler's seed and sizes became fixed; the
+    same draws, start and budget must walk the same path."""
+
+    @pytest.mark.parametrize("seed, metric, estimator, init, l, digest", [
+        (0, Metric.BINDER, "exact", "one-cluster", None,
+         "effa2aa51578bb81292bcd9807d0bb862e99e215695f0a99a0f0a777274daa4c"),
+        (0, Metric.BINDER, "exact", "one-cluster", 3,
+         "a96d73d0ee2c3d3d41f0ff1c073c9ec22b85e62f21472af088946908081b6407"),
+        (3, Metric.VI, "exact", "last", None,
+         "a0746d78d0f47c0a95af982f453fb6bc52a42a47a10b66661964cd61f65105dd"),
+        (3, Metric.VI, "lower-bound", "last", None,
+         "423f81c566e483f6f7e38e4c8b885fbf3afbfe8b3ba3edbeb5b516a1fa617794"),
+        (1, Metric.VI, "exact", "best", None,
+         "473521209bd719b58c380d16d1a710addce9b15d27901f52fc36584180a459d2"),
+    ], ids=["binder-one-cluster", "binder-one-cluster-l3", "vi-last",
+            "vi-lower-last", "vi-best"])
+    def test_trajectory_is_pinned(self, seed, metric, estimator, init, l, digest):
+        draws = noisy_posterior(seed)
+        start = one_cluster(draws.n) if init == "one-cluster" else init
+        result = greedy_search(draws, SearchConfig(
+            metric=metric, estimator=estimator, init=start, l=l
+        ))
+        assert search_digest(result) == digest
+
+    def test_binder_pin_accepts_balanced_splits(self):
+        # the pin covers the random splits: some accepted move cuts a
+        # cluster of more than 8 items (beyond exhaustive enumeration) into
+        # two pieces of at least 2 items
+        result = greedy_search(noisy_posterior(0), SearchConfig(
+            metric=Metric.BINDER, init=one_cluster(31)
+        ))
+        balanced = 0
+        for (before, _), (after, _) in zip(result.trajectory,
+                                           result.trajectory[1:]):
+            if after.k < before.k:
+                continue
+            table = contingency(before, after)
+            cut = table[(table > 0).sum(axis=1) == 2][0]
+            pieces = cut[cut > 0]
+            balanced += pieces.sum() > 8 and pieces.min() >= 2
+        assert balanced >= 1
