@@ -6,8 +6,8 @@ pairclass (pairwise agreement codes against a reference partition).
 
 Every file output gets a JSON sidecar manifest recording the command, its
 inputs with the sha256 of each input file, the full parameter set
-(including the original argv), the seed and the Python and numpy versions,
-so any artifact can be regenerated bit-for-bit.
+(including the original argv) and the Python and numpy versions, so
+any artifact can be regenerated bit-for-bit.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
 """
@@ -68,7 +68,6 @@ def _write_manifest(out_path: str, args: argparse.Namespace, argv: list[str],
         "input_sha256": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                          for p in inputs if os.path.isfile(p)},
         "config": config,
-        "seed": getattr(args, "seed", None),
         "outputs": outputs,
         "versions": {"postclust": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
@@ -186,9 +185,9 @@ def _parse_hyper(value: str, data: np.ndarray, kind: str):
 
 
 def _cmd_sample(args, argv) -> int:
-    if args.iterations <= args.burn_in:
-        return _usage_error(f"--iterations ({args.iterations}) must exceed "
-                            f"--burn-in ({args.burn_in})")
+    if not 0 <= args.burn_in < args.iterations:
+        return _usage_error(f"--burn-in ({args.burn_in}) must be >= 0 and "
+                            f"below --iterations ({args.iterations})")
     raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
     data = Dataset(raw)
     config = SamplerConfig(

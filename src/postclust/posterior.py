@@ -230,10 +230,6 @@ def _check_similarity(candidate: Partition, psm: np.ndarray):
                          f"not fit a candidate of {candidate.n_items} items")
 
 
-def _onehot(c: Partition) -> np.ndarray:
-    return _block_onehot(np.asarray([c.labels]), np.array([c.k]), np.float64)[0]
-
-
 def _check_estimator(metric: Metric, estimator: str):
     """The one check of a (metric, estimator) pair."""
     _check_metric(metric)
@@ -294,12 +290,11 @@ def expected_vi_lower(
     """
     _check_similarity(candidate, psm)
     _check_candidate(candidate, draws.n)
-    n = candidate.n_items
-    labels = np.asarray(candidate.labels)
-    mass = (psm @ _onehot(candidate))[np.arange(n), labels]  # sum of p over own cluster
-    sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels]
+    labels = np.asarray([candidate.labels])
+    _, log_mass = _scan_own_mass(labels, np.array([candidate.k]), psm)
+    sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels[0]]
     a = float(draws._row_xlogx.sum()) / draws.m
-    return float(a + np.log2(sizes).sum() - 2.0 * np.log2(mass).sum()) / n
+    return float(a + np.log2(sizes).sum() - 2.0 * log_mass[0]) / candidate.n_items
 
 
 def draw_distances(center: Partition, draws: DrawMatrix, metric: Metric) -> np.ndarray:

@@ -8,16 +8,21 @@ stops at the first iteration with no strict improvement, or after
 ``max_iters`` iterations.  Because the loss strictly decreases along the
 trajectory, no partition can repeat and termination is guaranteed.
 
-Candidates are not built as partitions and scored one by one.  Each
-iteration computes one statistic of the current partition: the item-to-
-cluster similarity mass ``R = P Z`` for the Binder loss (with the
-cluster block sums ``Z^T R``) and the VI lower bound, or the contingency
-counts against every draw for the exact VI.  Every candidate's loss
-change then follows from the move ``closest_neighbors`` returns with it:
-the two clusters a merge joins, or the cluster a split cuts and the
-piece it cuts off.  This is how SALSO scores moves (Dahl, Johnson &
-Müller 2022, "Search Algorithms and Loss Functions for Bayesian
-Clustering").
+Candidates are not built as partitions and scored one by one.  A move is
+an edge of the lattice between two pieces X and Y: a merge of clusters a
+and b joins X = a to Y = b, and a split cuts X out of a cluster U,
+leaving Y = U - X.  Along an edge each loss changes by the edge's
+distance less one gain in (X, Y), for a merge, and by the negative of
+that for a split.  The gains are (4/N^2) Σ p_ij over the pairs i in X,
+j in Y for the Binder loss; (2/N) Σ_{n in U} log2(mass of n to U / mass
+of n to its own piece) for the VI lower bound, with ``p`` the
+similarity; and (2/NM) Σ_cells [f(x+y) - f(x) - f(y)], f(n) = n log2 n,
+over the draw cells holding x items of X and y of Y, for the exact VI.
+Whole clusters' masses are rows of one ``Z^T P`` and their counts are
+columns of the contingency counts against every draw; only a split's
+piece pays a product with ``P`` or a bincount.  This is how SALSO scores
+moves (Dahl, Johnson & Müller 2022, "Search Algorithms and Loss
+Functions for Bayesian Clustering").
 
 The loss changes are exact up to rounding (below 1e-14 on the tests'
 posteriors), so the walk does not rely on them to choose.  Every
@@ -36,7 +41,7 @@ import numpy as np
 from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
 from .posterior import (
-    CERTIFY_MARGIN, DrawMatrix, _check_estimator, _onehot, best_sampled,
+    CERTIFY_MARGIN, DrawMatrix, _check_estimator, best_sampled,
     expected_loss,
 )
 
@@ -100,91 +105,70 @@ def _pick_best(parts, draws: DrawMatrix,
     return part, loss
 
 
-def _signed_distance(moves: Neighbors) -> np.ndarray:
-    """The part of each loss change that depends on cluster sizes alone.
-
-    Between nested partitions both metrics are a difference of one size
-    term (Σ n log2 n over N for VI, Σ n^2 over N^2 for Binder), so that
-    part is the move's distance, positive for a merge and negative for a
-    split.
-    """
-    return np.where(moves.merge, moves.delta, -moves.delta)
-
-
-def _binder_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
-    """Change in expected Binder loss: (2/N^2) Σ (1 - 2 p) over the item
-    pairs a merge joins, or minus that over the pairs a split separates."""
-    p = draws.similarity
-    z = _onehot(c)
-    mass = np.empty(len(moves))  # Σ p over those pairs, negated for splits
-    merge = moves.merge
-    a, b = moves.pair[merge].T
-    mass[merge] = (z.T @ (p @ z))[a, b]
-    cut = moves.part[~merge].astype(np.float64)
-    rest = z[:, moves.pair[~merge, 0]].T - cut
-    mass[~merge] = -((cut @ p) * rest).sum(axis=1)
-    return _signed_distance(moves) - mass * (4.0 / (c.n_items * c.n_items))
+def _pieces(c: Partition, moves: Neighbors, p: np.ndarray):
+    """Per move, the items X and Y hold and every item's similarity mass
+    to each, as (C, N) arrays.  A merge of (a, b) has X = a, Y = b; a split
+    cuts X = ``part`` out of cluster ``pair[t, 0]``."""
+    z = np.asarray(c.labels) == np.arange(c.k)[:, None]
+    r = z.astype(np.float64) @ p
+    a, b = moves.pair.T
+    in_x, in_y, to_x, to_y = z[a], z[b], r[a], r[b]
+    s = np.flatnonzero(~moves.merge)
+    part = moves.part[s]
+    cut = part.astype(np.float64) @ p
+    in_y[s], to_y[s] = in_x[s] & ~part, to_x[s] - cut
+    in_x[s], to_x[s] = part, cut
+    return in_x, in_y, to_x, to_y
 
 
-def _vi_lower_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
-    """Change in the Jensen bound: the signed distance less (2/N) times the
-    change in Σ_n log2 of item n's similarity mass within its cluster."""
-    p = draws.similarity
-    labels = np.asarray(c.labels)
-    z = _onehot(c)
-    mass = p @ z  # mass[n, j]: similarity of item n to cluster j
-    own = mass[np.arange(c.n_items), labels]
-    own_log = np.bincount(labels, np.log2(own), minlength=c.k)
-    # joined[i, j]: Σ over items n of cluster i of log2(mass to i and j)
-    joined = z.T @ np.log2(mass + own[:, None])
-    out = np.empty(len(moves))
-    merge = moves.merge
-    a, b = moves.pair[merge].T
-    out[merge] = joined[a, b] + joined[b, a] - own_log[a] - own_log[b]
-    split = ~merge
-    cluster = moves.pair[split, 0]
-    cut = moves.part[split]
-    inside = z[:, cluster].T > 0
-    cut_mass = cut.astype(np.float64) @ p
-    new_mass = np.where(cut, cut_mass, mass[:, cluster].T - cut_mass)
-    logs = np.log2(new_mass, out=np.zeros_like(new_mass), where=inside)
-    out[split] = logs.sum(axis=1) - own_log[cluster]
-    return _signed_distance(moves) - 2.0 * out / c.n_items
+def _binder_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
+    """(4/N^2) Σ p_ij over the item pairs i in X, j in Y."""
+    in_x, _, _, to_y = _pieces(c, moves, draws.similarity)
+    pairs = np.einsum("tn,tn->t", in_x.astype(np.float64), to_y)
+    return pairs * (4.0 / (c.n_items * c.n_items))
 
 
-def _vi_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
-    """Change in exact expected VI, from the contingency counts J of ``c``
-    against every draw: the signed distance less (2/NM) Σ_cells Δ n log2 n.
+def _vi_lower_gains(c: Partition, moves: Neighbors,
+                    draws: DrawMatrix) -> np.ndarray:
+    """(2/N) Σ_{n in U} log2(mass of n to U / mass of n to its own piece)."""
+    in_x, in_y, to_x, to_y = _pieces(c, moves, draws.similarity)
+    own = np.where(in_x, to_x, np.where(in_y, to_y, 1.0))
+    ratio = np.where(in_x | in_y, to_x + to_y, 1.0) / own  # 1 outside U
+    return 2.0 * np.log2(ratio).sum(axis=1) / c.n_items
 
-    Only cells holding items of both merged clusters, or of both pieces of
-    a split, change the sum.
-    """
+
+def _vi_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
+    """(2/NM) Σ [f(x+y) - f(x) - f(y)], f(n) = n log2 n, over the draw
+    cells holding x > 0 items of X and y > 0 of Y."""
     joint = draws._joint_counts(c).reshape(-1, c.k)  # draw cells x clusters
-    used = sorted(set(moves.pair[moves.pair >= 0].tolist()))
-    column = dict(zip(used, np.ascontiguousarray(joint[:, used].T)))
-    out = np.empty(len(moves))
-    merge = np.flatnonzero(moves.merge)
-    for t, (a, b) in zip(merge, moves.pair[merge].tolist()):
-        both = (column[a] > 0) & (column[b] > 0)
-        x, y = column[a][both], column[b][both]
-        out[t] = (_xlogx(x + y) - _xlogx(x) - _xlogx(y)).sum()
-    rowcode = draws._rowcode
-    for t in np.flatnonzero(~moves.merge):
-        cut = np.bincount(rowcode[:, moves.part[t]].ravel(),
-                          minlength=joint.shape[0])
-        cells = np.flatnonzero(cut)
-        whole, cut = column[moves.pair[t, 0]][cells], cut[cells]
-        out[t] = (_xlogx(cut) + _xlogx(whole - cut) - _xlogx(whole)).sum()
-    return _signed_distance(moves) - 2.0 * out / (draws.m * c.n_items)
+    column = np.ascontiguousarray(joint.T)
+    f = _xlogx(np.arange(c.n_items + 1)).take
+    gains = np.empty(len(moves))
+    for t, (a, b) in enumerate(moves.pair.tolist()):
+        if moves.merge[t]:
+            cells = np.flatnonzero(column[a])
+            x, y = column[a][cells], column[b][cells]
+        else:
+            x = np.bincount(draws._rowcode[:, moves.part[t]].ravel(),
+                            minlength=joint.shape[0])
+            cells = np.flatnonzero(x)
+            x, y = x[cells], column[a][cells] - x[cells]
+        x, y = x[y > 0], y[y > 0]
+        gains[t] = (f(x + y) - f(x) - f(y)).sum()
+    return 2.0 * gains / (draws.m * c.n_items)
 
 
 def _loss_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix,
                  config: SearchConfig) -> np.ndarray:
+    """Each move's loss change: its distance less its gain for a merge,
+    and the negative of that for the split that undoes such a merge."""
     if config.metric is Metric.BINDER:
-        return _binder_deltas(c, moves, draws)
-    if config.estimator == "exact":
-        return _vi_deltas(c, moves, draws)
-    return _vi_lower_deltas(c, moves, draws)
+        gains = _binder_gains(c, moves, draws)
+    elif config.estimator == "exact":
+        gains = _vi_gains(c, moves, draws)
+    else:
+        gains = _vi_lower_gains(c, moves, draws)
+    return np.where(moves.merge, 1.0, -1.0) * (moves.delta - gains)
 
 
 def _initial(draws: DrawMatrix, config: SearchConfig) -> tuple[Partition, float]:

@@ -1,5 +1,6 @@
 """End-to-end CLI run and the exit-code contract (0 ok, 2 usage, 3 data)."""
 
+import csv
 import hashlib
 import json
 import platform
@@ -47,10 +48,11 @@ def test_simulate_sample_estimate_ball_round_trip(tmp_path):
             "numpy": np.__version__,
             "python": platform.python_version(),
         }
+        assert "seed" not in manifest  # a seed is an option: in "config"
     sample_manifest = json.loads(
         (tmp_path / "draws.csv.manifest.json").read_text()
     )
-    assert sample_manifest["seed"] == 4
+    assert sample_manifest["config"]["seed"] == 4
     assert sample_manifest["config"]["iterations"] == 30
 
 
@@ -132,6 +134,8 @@ def test_removed_search_option_is_rejected_by_argparse(tmp_path, capsys, extra):
     ["ball", "{missing}", "0,0,1", "--alpha", "0"],
     ["simulate", "example1", "--n", "0",
      "--out-data", "{missing}", "--out-labels", "{missing}.txt"],
+    ["sample", "{missing}", "{missing}.out", "--iterations", "10",
+     "--burn-in", "-1"],
 ])
 def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     missing = tmp_path / "missing.csv"
@@ -139,6 +143,41 @@ def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     assert code == 2
     assert "error: --" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_file_outputs_hold_what_they_promise(tmp_path):
+    draws = tmp_path / "draws.csv"
+    draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")
+    psm, codes = tmp_path / "psm.csv", tmp_path / "codes.csv"
+    assert cli.main(["psm", str(draws), str(psm)]) == 0
+    np.testing.assert_array_equal(
+        np.loadtxt(psm, delimiter=","),
+        posterior.similarity_matrix(posterior.load_draws(draws)),
+    )
+
+    assert cli.main(["pairclass", "0,0,1", "0,1,1", str(codes)]) == 0
+    assert codes.read_text() == "2,3,0\n3,2,1\n0,1,2\n"
+
+    est, path = tmp_path / "est.json", tmp_path / "path.csv"
+    assert cli.main(["estimate", str(draws), "--init", "0,1,2,3,4",
+                     "--out", str(est), "--trajectory", str(path)]) == 0
+    result = json.loads(est.read_text())
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert len(rows) > 2  # the walk moved from the singletons
+    assert rows[0] == ["iteration", "loss", "k", "labels"]
+    assert [int(row[0]) for row in rows[1:]] == list(
+        range(result["iterations_used"] + 1))
+    assert rows[-1][3] == result["labels"]
+    assert float(rows[-1][1]) == result["expected_loss"]
+
+    data, out, trace = (tmp_path / name for name in
+                        ("data.csv", "d.csv", "trace.csv"))
+    data.write_text("1.0\n2.5\n3.0\n4.0\n")
+    assert cli.main(["sample", str(data), str(out), "--iterations", "6",
+                     "--burn-in", "2", "--trace", str(trace)]) == 0
+    rows = trace.read_text().splitlines()
+    assert rows[0] == "sweep,clusters,alpha"
+    assert len(rows) == 1 + 6
 
 
 def test_label_beyond_int64_is_a_data_error(tmp_path, capsys):

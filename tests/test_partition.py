@@ -203,10 +203,14 @@ class TestLatticeLaws:
             assert join(p, meet(p, q)) == p
 
     def test_associativity(self):
+        # Each law on the same triples, read from tables of all pairs; the
+        # index lookup raises if a result falls outside the 15 partitions.
         parts = all_partitions(4)
-        for p, q, r in itertools.product(parts, repeat=3):
-            assert meet(p, meet(q, r)) == meet(meet(p, q), r)
-            assert join(p, join(q, r)) == join(join(p, q), r)
+        index = {p: i for i, p in enumerate(parts)}
+        for op in (meet, join):
+            table = [[index[op(p, q)] for q in parts] for p in parts]
+            for p, q, r in itertools.product(range(len(parts)), repeat=3):
+                assert table[p][table[q][r]] == table[table[p][q]][r]
 
 
 class TestEnumeration:
