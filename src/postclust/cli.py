@@ -14,11 +14,14 @@ Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +43,10 @@ from .search import SearchConfig, SearchResult, greedy_search
 
 METRICS = {"vi": Metric.VI, "binder": Metric.BINDER}
 ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
+# SamplerConfig fields, spelled as the ``sample`` options that set them.
+SAMPLE_OPTIONS = {"c": "--c", "a": "--a", "b": "--b", "alpha0": "--alpha0",
+                  "alpha_prior": "--alpha-shape/--alpha-rate",
+                  "burn_in": "--burn-in", "iterations": "--iterations"}
 
 
 def _read_partition(spec: str) -> Partition:
@@ -185,22 +192,33 @@ def _parse_hyper(value: str, data: np.ndarray, kind: str):
 
 
 def _cmd_sample(args, argv) -> int:
-    if not 0 <= args.burn_in < args.iterations:
-        return _usage_error(f"--burn-in ({args.burn_in}) must be >= 0 and "
-                            f"below --iterations ({args.iterations})")
-    raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
-    data = Dataset(raw)
-    config = SamplerConfig(
+    # mu0 and b may need the data ('mean', 'var', one value per dimension),
+    # so placeholders stand in for them until it is read; a single finite
+    # --b is checked now.  A non-finite --b or --mu0 stays a data error.
+    try:
+        b = float(args.b)
+    except ValueError:
+        b = 1.0
+    try:
+        config = SamplerConfig(
+            b=b if math.isfinite(b) else 1.0,
+            c=args.c,
+            a=args.a,
+            alpha0=args.alpha0,
+            alpha_prior=None if args.fixed_alpha else (args.alpha_shape,
+                                                       args.alpha_rate),
+            iterations=args.iterations,
+            burn_in=args.burn_in,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _usage_error(re.sub(
+            r"\w+", lambda m: SAMPLE_OPTIONS.get(m[0], m[0]), str(exc)))
+    data = Dataset(np.loadtxt(args.data, delimiter=",", ndmin=2))
+    config = dataclasses.replace(
+        config,
         mu0=_parse_hyper(args.mu0, data.points, "mu0"),
-        c=args.c,
-        a=args.a,
         b=_parse_hyper(args.b, data.points, "b"),
-        alpha0=args.alpha0,
-        alpha_prior=None if args.fixed_alpha else (args.alpha_shape,
-                                                   args.alpha_rate),
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        seed=args.seed,
     )
     trace: list | None = [] if args.trace else None
     draws = gibbs_run(data, config, trace=trace)
@@ -209,7 +227,7 @@ def _cmd_sample(args, argv) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["sweep", "clusters", "alpha"])
+            writer.writerow(["sweep", "clusters", "alpha", "log_joint"])
             writer.writerows(trace)
         outputs.append(args.trace)
     _write_manifest(args.out, args, argv, [args.data], outputs)
@@ -307,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-shape", type=float, default=1.0)
     p.add_argument("--alpha-rate", type=float, default=1.0)
     p.add_argument("--trace", default=None,
-                   help="write per-sweep (clusters, alpha) CSV here")
+                   help="write per-sweep (clusters, alpha, log_joint) CSV "
+                   "here; log_joint is the CRP log prior plus the clusters' "
+                   "log marginal likelihoods")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("simulate", help="draw one of the bundled examples")

@@ -11,9 +11,11 @@ times the prior-predictive density.  The mass parameter either stays fixed
 or is refreshed once per sweep under a gamma hyperprior via the usual
 beta-augmentation step.
 
-Clusters keep sums s1, s2 of the data centred at mu0, so the posterior rate
-is ``b + s2/2 - s1**2 / (2 (c + n))``; each reassignment evaluates the
-cluster the item left and every candidate seat in one vectorised call.
+Clusters keep sums s1, s2 of the data centred at mu0, so the posterior
+rate is ``b + s2/2 - s1**2 / (2 (c + n))``.  The state is held in Python
+floats: at a handful of clusters numpy's fixed cost per call outweighs its
+arithmetic.  Each reassignment rescores the cluster the item left, then
+scores every seat with the item added in one pass per dimension.
 
 One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
 consumed by the summary tools.
@@ -80,72 +82,56 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each message names its fields, which the CLI spells as options.
         for name in ("mu0", "c", "a", "b", "alpha0", "alpha_prior"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(
-                np.asarray(value, dtype=np.float64)
-            ).all():
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=np.float64)
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        if self.c <= 0 or self.a <= 0:
-            raise ValueError("c and a must be positive")
-        if np.any(np.asarray(self.b, dtype=np.float64) <= 0):
-            raise ValueError("b must be positive")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.alpha_prior is not None and (
-            self.alpha_prior[0] <= 0 or self.alpha_prior[1] <= 0
-        ):
-            raise ValueError("alpha_prior components must be positive")
-        if self.burn_in < 0 or self.iterations <= self.burn_in:
-            raise ValueError("need iterations > burn_in >= 0")
+            if name != "mu0" and (value <= 0).any():
+                raise ValueError(f"{name} must be positive")
+        if not 0 <= self.burn_in < self.iterations:
+            raise ValueError(f"burn_in ({self.burn_in}) must be >= 0 and "
+                             f"below iterations ({self.iterations})")
 
 
 class _Model:
-    """Prepared hyperparameters plus lookup tables for fast marginals."""
+    """Prepared hyperparameters plus per-count tables as Python floats;
+    entry m of a table is for a cluster of m + 1 items."""
 
     def __init__(self, config: SamplerConfig, d: int, n_max: int):
-        self.c = float(config.c)
-        self.a = float(config.a)
-        self.mu0 = np.broadcast_to(
-            np.asarray(config.mu0, dtype=np.float64), (d,)
-        ).copy()
-        self.b = np.broadcast_to(
-            np.asarray(config.b, dtype=np.float64), (d,)
-        ).copy()
-        self.d = d
-        counts = np.arange(n_max + 2, dtype=np.float64)
-        lgam = np.vectorize(math.lgamma)(self.a + counts / 2.0)
+        c, a = float(config.c), float(config.a)
+        self.mu0, self.b = (
+            np.broadcast_to(np.asarray(value, dtype=np.float64), (d,))
+            for value in (config.mu0, config.b)
+        )
+        counts = np.arange(1, n_max + 1, dtype=np.float64)
+        lgam = np.vectorize(math.lgamma)(a + counts / 2.0)
         # Size-dependent scalar part of the log marginal, per cluster count.
         self.prefactor = (
-            d
-            * (
-                -counts / 2.0 * LOG_2PI
-                + 0.5 * (math.log(self.c) - np.log(self.c + counts))
-                + lgam
-                - math.lgamma(self.a)
-            )
-            + self.a * np.log(self.b).sum()
-        )
-        self.a_n = self.a + counts / 2.0
-        self.g = (0.5 / (self.c + counts))[:, None]
+            d * (-counts / 2.0 * LOG_2PI
+                 + 0.5 * (math.log(c) - np.log(c + counts))
+                 + lgam - math.lgamma(a))
+            + a * np.log(self.b).sum()
+        ).tolist()
+        self.a_n = (a + counts / 2.0).tolist()
+        self.g = (0.5 / (c + counts)).tolist()
 
-    def log_marginal_stats(
-        self, n: np.ndarray, stats: np.ndarray
-    ) -> np.ndarray:
-        """Log marginal likelihood from centred sufficient statistics.
+    def log_marginal(self, n: int, sums) -> float:
+        """Log marginal likelihood of a slot of ``n`` items; ``sums`` yields,
+        per dimension, its sum s1 of points minus mu0 and its ``b + s2/2``,
+        with s2 the sum of their squares."""
+        g, t = self.g[n - 1], 0.0
+        for s1, h in sums:
+            t += math.log(h - s1 * s1 * g)
+        return self.prefactor[n - 1] - self.a_n[n - 1] * t
 
-        ``n`` has shape (k,); row j of ``stats`` (shape (k, 2d)) holds the
-        per-dimension sums s1 of cluster j's points minus mu0, then
-        ``b + s2/2`` with s2 the sums of their squares.
-        """
-        s1, half_s2 = stats[:, : self.d], stats[:, self.d :]
-        rate = half_s2 - s1 * s1 * self.g[n]
-        return self.prefactor[n] - self.a_n[n] * np.log(rate).sum(axis=1)
-
-    def item_stats(self, points: np.ndarray) -> np.ndarray:
-        """Per-item rows [x - mu0, (x - mu0)**2 / 2], summed into ``stats``."""
+    def item_stats(self, points: np.ndarray) -> list:
+        """Per item and dimension, the pair [x - mu0, (x - mu0)**2 / 2]."""
         x = points - self.mu0
-        return np.hstack([x, 0.5 * x * x])
+        return np.stack([x, 0.5 * x * x], axis=-1).tolist()
 
 
 def log_marginal(cluster_points, config: SamplerConfig) -> float:
@@ -156,89 +142,102 @@ def log_marginal(cluster_points, config: SamplerConfig) -> float:
     if pts.size == 0:
         raise ValueError("empty cluster")
     model = _Model(config, pts.shape[1], pts.shape[0])
-    stats = model.item_stats(pts).sum(axis=0, keepdims=True)
-    stats[:, model.d :] += model.b
-    n = np.array([pts.shape[0]])
-    return float(model.log_marginal_stats(n, stats)[0])
+    s1, half_s2 = np.sum(model.item_stats(pts), axis=0).T
+    sums = zip(s1.tolist(), (half_s2 + model.b).tolist())
+    return model.log_marginal(pts.shape[0], sums)
 
 
-def crp_log_prior(partition: Partition, alpha: float) -> float:
-    """Log prior mass of a partition under the CRP with the given mass."""
-    n = partition.n_items
+def _crp_log_prior(sizes: Sequence[int], alpha: float) -> float:
     value = (
         math.lgamma(alpha)
-        - math.lgamma(alpha + n)
-        + partition.k * math.log(alpha)
+        - math.lgamma(alpha + sum(sizes))
+        + len(sizes) * math.log(alpha)
     )
-    for size in partition.sizes:
+    for size in sizes:
         value += math.lgamma(size)
     return value
 
 
+def crp_log_prior(partition: Partition, alpha: float) -> float:
+    """Log prior mass of a partition under the CRP with the given mass."""
+    return _crp_log_prior(partition.sizes, alpha)
+
+
 class _GibbsState:
-    """Per-slot counts, centred sums and log marginals of the seating.
-    :meth:`assign` recomputes ``logm[stale]``, the slot :meth:`remove` last
-    left (or the empty slot), in one call with the candidate seats."""
+    """The seating, held in Python lists with one entry per slot.
+
+    Slots 0..k-1 are the clusters and slot k is the empty seat.  Per slot
+    the state keeps the count and the cached log marginal (0 at the empty
+    seat); per dimension, a list of the slots' sums s1 and a list of their
+    ``b + s2/2``.  :meth:`remove` rescores the slot an item leaves, or
+    moves the last cluster into it once it is empty; ``columns`` lists
+    every per-slot list.
+    """
 
     def __init__(self, data: Dataset, model: _Model):
-        cap = data.n + 1
-        self.z = model.item_stats(data.points)
         self.model = model
-        self.labels = np.full(data.n, -1, dtype=np.int32)
-        self.counts = np.zeros(cap, dtype=np.int64)
-        self.empty = np.concatenate([np.zeros(data.d), model.b])
-        self.stats = np.tile(self.empty, (cap, 1))
-        self.logm = np.zeros(cap)
-        self.rows = np.empty((cap + 1, 2 * data.d))
-        self.n_rows = np.empty(cap + 1, dtype=np.int64)
+        self.z = model.item_stats(data.points)
+        self.labels = [-1] * data.n
+        self.counts, self.logm = [0], [0.0]
+        self.sums = [([0.0], [b]) for b in model.b.tolist()]
+        self.columns = (self.counts, self.logm, *itertools.chain(*self.sums))
         # CRP weights by cluster size: log n, with log alpha at size 0.
-        self.log_crp = np.log(np.maximum(np.arange(cap), 1.0))
-        self.k = self.stale = 0
+        self.log_crp = np.log(np.maximum(np.arange(data.n + 1), 1.0)).tolist()
+
+    @property
+    def k(self) -> int:
+        return len(self.counts) - 1
 
     def set_alpha(self, alpha: float):
         self.log_crp[0] = math.log(alpha)
 
     def remove(self, i: int):
-        s = self.labels[i]
-        self.counts[s] -= 1
-        self.stats[s] -= self.z[i]
-        self.stale = s
-        if self.counts[s] == 0:
+        s, counts = self.labels[i], self.counts
+        counts[s] -= 1
+        for (s1, h), (x1, xh) in zip(self.sums, self.z[i]):
+            s1[s] -= x1
+            h[s] -= xh
+        if counts[s]:
+            sums = [(s1[s], h[s]) for s1, h in self.sums]
+            self.logm[s] = self.model.log_marginal(counts[s], sums)
+        else:
             last = self.k - 1
+            for column in self.columns:
+                column[s] = column[last]
+                del column[last]
             if s != last:
-                self.counts[s] = self.counts[last]
-                self.stats[s] = self.stats[last]
-                self.logm[s] = self.logm[last]
-                self.labels[self.labels == last] = s
-            self.counts[last] = 0
-            self.stats[last] = self.empty
-            self.logm[last] = 0.0
-            self.k = self.stale = last
+                self.labels = [s if j == last else j for j in self.labels]
         self.labels[i] = -1
 
     def assign(self, i: int, u: float):
         """Seat item i given the others, using the uniform draw u."""
-        k, rows, n_rows = self.k, self.rows, self.n_rows
-        np.add(self.stats[: k + 1], self.z[i], out=rows[: k + 1])
-        np.add(self.counts[: k + 1], 1, out=n_rows[: k + 1])
-        rows[k + 1] = self.stats[self.stale]
-        n_rows[k + 1] = self.counts[self.stale]
-        logm = self.model.log_marginal_stats(
-            n_rows[: k + 2], rows[: k + 2]
-        )
-        self.logm[self.stale] = logm[k + 1]
-        logw = logm[: k + 1] - self.logm[: k + 1]
-        # At the usual handful of clusters, Python floats beat numpy calls.
-        logw = (logw + self.log_crp[self.counts[: k + 1]]).tolist()
+        counts, z, model = self.counts, self.z[i], self.model
+        # Each seat's log rate with item i added, summed over dimensions.
+        g, log, t = model.g, math.log, [0.0] * len(counts)
+        for (s1, h), (x1, xh) in zip(self.sums, z):
+            t = [
+                p + log((hj + xh) - (sj + x1) * (sj + x1) * g[c])
+                for p, sj, hj, c in zip(t, s1, h, counts)
+            ]
+        pre, a_n, crp = model.prefactor, model.a_n, self.log_crp
+        logw = [
+            pre[c] - a_n[c] * tj - old + crp[c]
+            for c, tj, old in zip(counts, t, self.logm)
+        ]
         top = max(logw)
         cum = list(itertools.accumulate([math.exp(w - top) for w in logw]))
         choice = bisect.bisect_left(cum, u * cum[-1])
+        if choice == len(counts) - 1:
+            # Item i opens a cluster: a copy of the empty seat follows it.
+            for column in self.columns:
+                column.append(column[choice])
         self.labels[i] = choice
-        self.counts[choice] += 1
-        self.stats[choice] = rows[choice]
-        self.logm[choice] = logm[choice]
-        if choice == k:
-            self.k += 1
+        n = counts[choice]
+        self.logm[choice] = pre[n] - a_n[n] * t[choice]
+        counts[choice] += 1
+        for (s1, h), (x1, xh) in zip(self.sums, z):
+            s1[choice] += x1
+            h[choice] += xh
 
 
 def _update_alpha(
@@ -265,8 +264,9 @@ def gibbs_run(
     Items are seated sequentially by the prior predictive to initialize,
     then ``config.iterations`` full sweeps in item order are performed; the
     partition after each post-burn-in sweep becomes one row of the result.
-    Passing a list as ``trace`` appends one (sweep, cluster_count, alpha)
-    tuple per sweep, burn-in included.
+    Passing a list as ``trace`` appends one (sweep, cluster_count, alpha,
+    log_joint) tuple per sweep, burn-in included; ``log_joint`` is the CRP
+    log prior at that alpha plus the clusters' log marginal likelihoods.
     """
     model = _Model(config, data.d, data.n)
     rng = np.random.default_rng(config.seed)
@@ -275,9 +275,7 @@ def gibbs_run(
     state.set_alpha(alpha)
     for i, u in enumerate(rng.random(data.n).tolist()):
         state.assign(i, u)
-    kept = np.empty(
-        (config.iterations - config.burn_in, data.n), dtype=np.int32
-    )
+    kept = np.empty((config.iterations - config.burn_in, data.n), np.int32)
     for sweep in range(config.iterations):
         for i, u in enumerate(rng.random(data.n).tolist()):
             state.remove(i)
@@ -288,7 +286,8 @@ def gibbs_run(
             )
             state.set_alpha(alpha)
         if trace is not None:
-            trace.append((sweep, state.k, alpha))
+            prior = _crp_log_prior(state.counts[:-1], alpha)
+            trace.append((sweep, state.k, alpha, prior + sum(state.logm)))
         if sweep >= config.burn_in:
             kept[sweep - config.burn_in] = state.labels
     return DrawMatrix(kept)

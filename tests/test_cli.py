@@ -129,6 +129,18 @@ def test_removed_search_option_is_rejected_by_argparse(tmp_path, capsys, extra):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+SAMPLER_ERRORS = [("--c", "0"), ("--a", "-1"), ("--alpha0", "0"),
+                  ("--alpha-shape", "0"), ("--c", "nan"), ("--b", "-1")]
+
+
+@pytest.mark.parametrize("option, value", SAMPLER_ERRORS)
+def test_bad_sampler_option_is_named(tmp_path, capsys, option, value):
+    code = cli.main(["sample", str(tmp_path / "missing.csv"),
+                     str(tmp_path / "d.csv"), option, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {option}")
+
+
 @pytest.mark.parametrize("argv", [
     ["ball", "{missing}", "0,0,1", "--alpha", "1.5"],
     ["ball", "{missing}", "0,0,1", "--alpha", "0"],
@@ -136,6 +148,8 @@ def test_removed_search_option_is_rejected_by_argparse(tmp_path, capsys, extra):
      "--out-data", "{missing}", "--out-labels", "{missing}.txt"],
     ["sample", "{missing}", "{missing}.out", "--iterations", "10",
      "--burn-in", "-1"],
+    *(["sample", "{missing}", "{missing}.out", option, value]
+      for option, value in SAMPLER_ERRORS),
 ])
 def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     missing = tmp_path / "missing.csv"
@@ -176,7 +190,7 @@ def test_file_outputs_hold_what_they_promise(tmp_path):
     assert cli.main(["sample", str(data), str(out), "--iterations", "6",
                      "--burn-in", "2", "--trace", str(trace)]) == 0
     rows = trace.read_text().splitlines()
-    assert rows[0] == "sweep,clusters,alpha"
+    assert rows[0] == "sweep,clusters,alpha,log_joint"
     assert len(rows) == 1 + 6
 
 

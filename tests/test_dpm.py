@@ -14,6 +14,7 @@ from postclust import (
     gibbs_run,
     load_galaxy,
     log_marginal,
+    simulate_example,
 )
 from postclust.dpm import _update_alpha
 
@@ -138,8 +139,8 @@ class TestAlphaUpdate:
         assert abs(chain.mean() - exact_mean) <= 4 * stderr
 
 
-def _chain_sha(config):
-    draws = gibbs_run(load_galaxy(), config).draws
+def _chain_sha(config, data=None):
+    draws = gibbs_run(data or load_galaxy(), config).draws
     return hashlib.sha256(draws.astype(np.int64).tobytes()).hexdigest()
 
 
@@ -163,6 +164,38 @@ class TestChainPin:
     ], ids=["gamma-prior", "fixed-alpha"])
     def test_chain_is_pinned(self, extra, digest):
         assert _chain_sha(SamplerConfig(**self.base(), **extra)) == digest
+
+
+class TestChainPin2D:
+    """Sha256 of a 40-sweep chain on a simulated example2 data set (N=60,
+    D=2, gamma prior), recorded before the per-slot state moved from numpy
+    arrays to Python floats; it pins the sum over dimensions."""
+
+    def test_chain_is_pinned(self):
+        data = simulate_example("example2", 60, seed=0)[0]
+        config = SamplerConfig(
+            mu0=data.points.mean(axis=0), c=0.5, a=2.0,
+            b=data.points.var(axis=0, ddof=1), iterations=40, seed=1,
+        )
+        assert _chain_sha(config, data) == (
+            "1542efeffdefc4b9c101220e65314cc16f4fba5043b6ec104620d45a2128e68c"
+        )
+
+
+class TestTrace:
+    def test_log_joint_matches_a_fresh_evaluation(self):
+        data = load_galaxy()
+        config = SamplerConfig(**TestChainPin.base(), seed=2)
+        trace = []
+        draws = gibbs_run(data, config, trace=trace)
+        sweep, k, alpha, log_joint = trace[-1]
+        last = draws.row(draws.draws.shape[0] - 1)
+        assert (sweep, k) == (config.iterations - 1, last.k)
+        fresh = crp_log_prior(last, alpha) + sum(
+            log_marginal(data.points[list(block)], config)
+            for block in last.clusters
+        )
+        assert log_joint == pytest.approx(fresh, rel=1e-9)
 
 
 class TestSamplerConfig:
