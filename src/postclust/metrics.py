@@ -162,45 +162,67 @@ def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
 
 
 def _split_parts(
-    c: Partition, rng: np.random.Generator
+    c: Partition, metric: Metric, l: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every generated split as (split cluster, moved-count m, part mask).
+    """Every generated split that can rank among the ``l`` closest, as
+    (split cluster, delta, part mask).
 
-    m counts the items the enumeration moves to the new cluster, which
-    sets the argument order of the split's delta.  The mask marks the
-    piece without the cluster's first item, so two draws of one split get
-    one mask.
+    The exhaustive splits and the peel-offs are all distinct; the l-th
+    smallest of their deltas is the bar.  Random splits come in groups of
+    ``BALANCED_SAMPLES`` draws, one group per large cluster and coarser
+    size m, whose delta is fixed by the sizes alone.  A group above the bar
+    has l distinct splits strictly ahead of it and can never rank, so the
+    draws stop after the last group at or below the bar.  The groups before
+    it are drawn in the order the seed fixes, whatever their delta.  The
+    mask marks the piece without the cluster's first item, so two draws of
+    one split get one mask.
     """
-    clusters, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    blocks = [np.zeros((0, c.n_items), dtype=bool)]
-    for label, members in enumerate(c.clusters):
-        size = len(members)
+    n, sizes = c.n_items, np.asarray(c.sizes)
+    clusters, counts = [np.empty(0, dtype=np.int64)], []
+    blocks = [np.zeros((0, n), dtype=bool)]
+    groups = []  # (cluster, m) of each group of random splits, in draw order
+
+    def add(label, moved):
+        block = np.zeros((moved.shape[0], n), dtype=bool)
+        block[:, c.clusters[label]] = moved ^ moved[:, :1]
+        blocks.append(block)
+        clusters.append(np.full(moved.shape[0], label))
+
+    for label, size in enumerate(c.sizes):
         if size < 2:
             continue
-        if size <= EXHAUSTIVE_SPLIT_LIMIT:
+        # a 2-item cluster has one split, which both its peel-offs would give
+        if size <= EXHAUSTIVE_SPLIT_LIMIT or size == 2:
             # All binary splits: the items of members[1:] whose bit is
             # clear in the mask move; members[0] always stays.
             masks = np.arange(2 ** (size - 1) - 1)[:, None]
             moved = np.zeros((masks.shape[0], size), dtype=bool)
             moved[:, 1:] = (masks >> np.arange(size - 1)) & 1 == 0
         else:
-            # Every single-item peel-off, then seeded random splits per
-            # coarser size profile, drawn in the order the seed fixes.
-            picks = [
-                rng.choice(size, size=m, replace=False)
-                for m in range(2, size // 2 + 1)
-                for _ in range(BALANCED_SAMPLES)
-            ]
-            moved = np.zeros((size + len(picks), size), dtype=bool)
-            moved[np.arange(size), np.arange(size)] = True
-            for row, pick in enumerate(picks, start=size):
-                moved[row, pick] = True
+            moved = np.eye(size, dtype=bool)  # every single-item peel-off
+            groups += [(label, m) for m in range(2, size // 2 + 1)]
+        add(label, moved)
+        # m, the count of items moved to the new cluster, sets the
+        # argument order of the split's delta
         counts.append(moved.sum(axis=1))
-        block = np.zeros((moved.shape[0], c.n_items), dtype=bool)
-        block[:, members] = moved ^ moved[:, :1]
-        blocks.append(block)
-        clusters.append(np.full(moved.shape[0], label))
-    return np.concatenate(clusters), np.concatenate(counts), np.concatenate(blocks)
+
+    # One delta per fixed split and per group, the bar from the former.
+    cluster = np.concatenate(clusters)
+    g_cluster, g_moved = np.array(groups, dtype=np.int64).reshape(-1, 2).T
+    first = np.concatenate(counts + [g_moved])
+    second = sizes[np.concatenate([cluster, g_cluster])] - first
+    fixed, by_group = np.split(_pair_deltas(first, second, n, metric),
+                               [cluster.shape[0]])
+    bar = np.partition(fixed, l - 1)[l - 1] if fixed.shape[0] >= l else np.inf
+    reach = np.flatnonzero(by_group <= bar)
+    drawn = reach[-1] + 1 if reach.shape[0] else 0
+    for label, m in groups[:drawn]:
+        moved = np.zeros((BALANCED_SAMPLES, c.sizes[label]), dtype=bool)
+        for row in moved:
+            row[rng.choice(c.sizes[label], size=m, replace=False)] = True
+        add(label, moved)
+    delta = np.concatenate([fixed, np.repeat(by_group[:drawn], BALANCED_SAMPLES)])
+    return np.concatenate(clusters), delta, np.concatenate(blocks)
 
 
 def closest_neighbors(
@@ -215,8 +237,11 @@ def closest_neighbors(
     single-item peel-offs plus ``BALANCED_SAMPLES`` random splits, drawn
     from ``rng_seed``, per coarser size profile, since peel-offs are
     provably the locally closest splits while the random coarser ones widen
-    the search.  Ties are broken by the candidate's canonical label
-    sequence, so identical inputs always give identical output.
+    the search.  A random split's distance depends only on its sizes, so
+    the draws stop once no further one could rank among the ``l`` closest
+    splits; the output is that of drawing them all.  Ties are broken by
+    the candidate's canonical label sequence, so identical inputs always
+    give identical output.
 
     Each candidate also carries its move (the two merged clusters, or the
     split cluster and the piece cut off), so that the greedy search can
@@ -234,14 +259,15 @@ def closest_neighbors(
     m_delta = _pair_deltas(sizes[a], sizes[b], n, metric)
     m_pick = np.lexsort((a, b, m_delta))[:l]
 
-    cluster, moved, part = _split_parts(c, np.random.default_rng(rng_seed))
+    cluster, s_delta, part = _split_parts(
+        c, metric, l, np.random.default_rng(rng_seed)
+    )
     # Each mask as one byte string: numpy orders and dedups those bytewise,
     # which for packed bits is the lexicographic order of the masks.
     keys = np.packbits(part, axis=1)
     keys = keys.view(f"S{keys.shape[1]}").ravel()
     _, keep = np.unique(keys, return_index=True)
-    cluster, part, keys = cluster[keep], part[keep], keys[keep]
-    s_delta = _pair_deltas(moved[keep], sizes[cluster] - moved[keep], n, metric)
+    cluster, s_delta, part, keys = cluster[keep], s_delta[keep], part[keep], keys[keep]
     head = part.argmax(axis=1)
     s_pick = np.lexsort((keys, -head, s_delta))[:l]
 

@@ -22,12 +22,20 @@ def _canonical_rows(a: np.ndarray) -> np.ndarray:
     A stable sort of each row groups equal labels with their first
     occurrence in front; an item's canonical label is the number of
     first occurrences before the first occurrence of its own label.
-    Blocks of 64 rows keep the temporaries small.
+    Blocks of 64 rows keep the temporaries small.  A block whose labels
+    span fewer than 2^16 values is sorted by its labels less their minimum
+    as 16-bit keys, which numpy radix-sorts: a stable sort's permutation
+    depends only on the keys' order, so the result is the same.
     """
     cols = np.arange(a.shape[1])
     out = np.empty(a.shape, dtype=np.int32)
     for lo in range(0, a.shape[0], 64):
         block = a[lo : lo + 64]
+        if block.size:
+            least = int(block.min())  # Python ints: no int64 overflow
+            if int(block.max()) - least < 2**16:
+                # modulo 2^16 the difference is exact, as it fits
+                block = block.astype(np.uint16) - np.uint16(least % 2**16)
         order = np.argsort(block, axis=1, kind="stable")
         ranked = np.take_along_axis(block, order, axis=1)
         starts = np.ones(block.shape, dtype=bool)

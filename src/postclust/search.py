@@ -3,10 +3,12 @@
 Starting from an initial partition, each iteration generates the nearest
 covering partitions (cluster merges) and nearest covered partitions
 (cluster splits), and moves to the candidate with the smallest posterior
-expected loss if it strictly improves on the current value.  The walk
-stops at the first iteration with no strict improvement, or after
-``max_iters`` iterations.  Because the loss strictly decreases along the
-trajectory, no partition can repeat and termination is guaranteed.
+expected loss if it strictly improves on the current value.  Random
+splits of large clusters are drawn only as far as one can still rank
+among the nearest (see ``closest_neighbors``).  The walk stops at the
+first iteration with no strict improvement, or after ``max_iters``
+iterations.  Because the loss strictly decreases along the trajectory,
+no partition can repeat and termination is guaranteed.
 
 Candidates are not built as partitions and scored one by one.  A move is
 an edge of the lattice between two pieces X and Y: a merge of clusters a
@@ -115,7 +117,12 @@ def _pieces(c: Partition, moves: Neighbors, p: np.ndarray):
     in_x, in_y, to_x, to_y = z[a], z[b], r[a], r[b]
     s = np.flatnonzero(~moves.merge)
     part = moves.part[s]
-    cut = part.astype(np.float64) @ p
+    # A one-item piece's masses are its item's row of p, so only larger
+    # pieces pay a product with p.
+    cut = np.empty(part.shape)
+    one = part.sum(axis=1) == 1
+    cut[one] = p[part[one].argmax(axis=1)]
+    cut[~one] = part[~one] @ p
     in_y[s], to_y[s] = in_x[s] & ~part, to_x[s] - cut
     in_x[s], to_x[s] = part, cut
     return in_x, in_y, to_x, to_y

@@ -38,6 +38,32 @@ def dist_fn(metric):
     return vi if metric is Metric.VI else binder
 
 
+def sized(sizes, seed=0):
+    """The partition whose cluster j holds sizes[j] items: the clusters'
+    first items in label order, then the other items shuffled."""
+    rest = np.repeat(np.arange(len(sizes)), np.asarray(sizes) - 1)
+    np.random.Generator(np.random.PCG64(seed)).shuffle(rest)
+    return Partition(tuple(range(len(sizes))) + tuple(rest.tolist()))
+
+
+@pytest.fixture
+def choices(monkeypatch):
+    """(cluster size, m) of every ``choice`` call on the generators that
+    ``postclust.metrics`` makes, in call order."""
+    calls, make = [], np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def choice(self, a, **kwargs):
+            calls.append((a, kwargs["size"]))
+            return self.rng.choice(a, **kwargs)
+
+    monkeypatch.setattr(postclust.metrics.np.random, "default_rng", Counted)
+    return calls
+
+
 class TestEntropy:
     def test_one_cluster_is_zero(self):
         assert entropy(one_cluster(7)) == 0.0
@@ -284,6 +310,49 @@ class TestClosestNeighbors:
             for metric in BOTH:
                 got = neighbor_list(closest_neighbors(c, metric, l, seed))
                 assert got == reference_neighbors(c, metric, l, seed, samples, limit)
+
+    @pytest.mark.parametrize("sizes, l, groups", [
+        # the draws needed end in a middle cluster; the last is never drawn
+        ((9, 10, 24), 25, [(9, 2), (9, 3), (9, 4), (10, 2), (10, 3)]),
+        # they end in the last cluster; every group before it is drawn,
+        # though none of cluster 0's can rank
+        ((20, 9), 25, [(20, m) for m in range(2, 11)] + [(9, 2), (9, 3)]),
+        # the bar is the peel-off of 15, 2 * 14, which (9, 2) ties: 2 * 2 * 7
+        ((9, 15, 3), 20, [(9, 2)]),
+    ])
+    def test_bar_gives_what_drawing_every_split_gives(self, choices, sizes,
+                                                       l, groups):
+        c = sized(sizes)
+        closest_neighbors(c, Metric.BINDER, l, rng_seed=3)
+        assert choices == [g for g in groups for _ in range(5)]
+        # on both sides of every bar, for both metrics, the output is that
+        # of a loop that draws every random split
+        fixed = sum(s if s > 8 else 2 ** (s - 1) - 1 for s in sizes)
+        for metric in BOTH:
+            for l in range(1, fixed + 3, 2):
+                got = neighbor_list(closest_neighbors(c, metric, l, l))
+                assert got == reference_neighbors(c, metric, l, l)
+
+    def test_no_draw_that_cannot_rank(self, choices, monkeypatch):
+        c = sized((9, 10))
+        for metric in BOTH:
+            # 19 peel-offs, every one closer than any random split
+            choices.clear()
+            closest_neighbors(c, metric, 5)
+            assert choices == []
+            closest_neighbors(c, metric, 20)
+            assert len(choices) == 5 * (3 + 4)
+        # a 2-item cluster's two peel-offs are one split: with the 5
+        # peel-offs of the other cluster 6 fixed splits, so a budget of 7
+        # draws the random ones
+        monkeypatch.setattr(postclust.metrics, "EXHAUSTIVE_SPLIT_LIMIT", 1)
+        c = sized((2, 5))
+        for metric in BOTH:
+            for l, calls in ((6, 0), (7, 5)):
+                choices.clear()
+                got = neighbor_list(closest_neighbors(c, metric, l))
+                assert len(choices) == calls
+                assert got == reference_neighbors(c, metric, l, 0, 5, 1)
 
 
 class TestMetricAxioms:

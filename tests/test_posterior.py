@@ -109,6 +109,28 @@ class TestLoadDraws:
         big = np.array([[2**64 - 1, 0, 2**63, 0, 2**64 - 1]], dtype=np.uint64)
         assert _canonical_rows(big).tolist() == [[0, 1, 2, 1, 0]]
 
+    def test_narrow_and_wide_blocks_relabel_alike(self, rng):
+        # blocks spanning fewer than 2^16 labels sort 16-bit keys; the
+        # range is checked per 64-row block, at the int64 and int8 limits
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        cases = [
+            rng.integers(lo, lo + 2**16, size=(70, 30), dtype=np.int64),
+            rng.integers(hi - 2**16, hi, size=(70, 30), dtype=np.int64,
+                         endpoint=True),
+            rng.integers(-128, 128, size=(70, 30)).astype(np.int8),
+            rng.integers(2**64 - 9, 2**64 - 1, size=(3, 30), dtype=np.uint64,
+                         endpoint=True),
+        ]
+        mixed = rng.integers(0, 2**16 - 1, size=(130, 20), dtype=np.int64)
+        mixed[:, 0] = [0, 2**16 - 1] * 65  # range 2^16 - 1: every block narrow
+        cases.append(mixed)
+        wide = mixed.copy()
+        wide[64, :2] = 2**16, 0  # range 2^16: 16-bit keys would collide
+        cases.append(wide)
+        for a in cases:
+            expect = [list(canonical_labels(row)) for row in a.tolist()]
+            assert _canonical_rows(a).tolist() == expect
+
 
 class TestSimilarityMatrix:
     def test_single_draw_block_structure(self):
