@@ -25,21 +25,13 @@ from .metrics import (
     Neighbors,
     binder,
     closest_neighbors,
-    entropy,
     merge_delta,
-    mutual_information,
-    rand_index,
     vi,
 )
 from .partition import (
     Partition,
     canonicalize,
     contingency,
-    covers,
-    enumerate_partitions,
-    join,
-    leq,
-    meet,
     one_cluster,
     singletons,
 )
@@ -74,28 +66,20 @@ __all__ = [
     "canonicalize",
     "closest_neighbors",
     "contingency",
-    "covers",
     "credible_ball",
     "crp_log_prior",
     "draw_distances",
-    "entropy",
-    "enumerate_partitions",
     "expected_binder",
     "expected_loss",
     "expected_vi",
     "expected_vi_lower",
     "gibbs_run",
     "greedy_search",
-    "join",
-    "leq",
     "load_draws",
     "load_galaxy",
     "log_marginal",
-    "meet",
     "merge_delta",
-    "mutual_information",
     "one_cluster",
-    "rand_index",
     "similarity_matrix",
     "simulate_example",
     "singletons",

@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import re
@@ -44,7 +43,8 @@ from .search import SearchConfig, SearchResult, greedy_search
 METRICS = {"vi": Metric.VI, "binder": Metric.BINDER}
 ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
 # SamplerConfig fields, spelled as the ``sample`` options that set them.
-SAMPLE_OPTIONS = {"c": "--c", "a": "--a", "b": "--b", "alpha0": "--alpha0",
+SAMPLE_OPTIONS = {"mu0": "--mu0", "c": "--c", "a": "--a", "b": "--b",
+                  "alpha0": "--alpha0",
                   "alpha_prior": "--alpha-shape/--alpha-rate",
                   "burn_in": "--burn-in", "iterations": "--iterations"}
 
@@ -142,7 +142,9 @@ def _cmd_estimate(args, argv) -> int:
     }
     if args.trajectory:
         _write_trajectory(args.trajectory, result)
-    _write_result(payload, args, argv, [args.draws],
+    inputs = ([args.draws] if args.init in ("best", "last")
+              else [args.draws, args.init])
+    _write_result(payload, args, argv, inputs,
                   [args.trajectory] if args.trajectory else [])
     return 0
 
@@ -179,29 +181,25 @@ def _cmd_ball(args, argv) -> int:
     return 0
 
 
-def _parse_hyper(value: str, data: np.ndarray, kind: str):
-    if kind == "mu0" and value == "mean":
-        return data.mean(axis=0)
-    if kind == "b" and value == "var":
-        return data.var(axis=0, ddof=1)
+def _parse_hyper(value: str, name: str, from_data: str):
+    """A numeric --mu0/--b, one number or a comma list; None for the value
+    the data decide (``from_data``: 'mean' or 'var')."""
+    if value == from_data:
+        return None
     try:
         parts = [float(f) for f in value.split(",")]
     except ValueError:
-        raise ValueError(f"cannot parse --{kind} value {value!r}") from None
+        raise ValueError(f"{name} must be numbers or {from_data!r}") from None
     return parts[0] if len(parts) == 1 else np.asarray(parts)
 
 
 def _cmd_sample(args, argv) -> int:
-    # mu0 and b may need the data ('mean', 'var', one value per dimension),
-    # so placeholders stand in for them until it is read; a single finite
-    # --b is checked now.  A non-finite --b or --mu0 stays a data error.
-    try:
-        b = float(args.b)
-    except ValueError:
-        b = 1.0
-    try:
+    try:  # the command line alone decides these: a usage error
+        mu0 = _parse_hyper(args.mu0, "mu0", "mean")
+        b = _parse_hyper(args.b, "b", "var")
         config = SamplerConfig(
-            b=b if math.isfinite(b) else 1.0,
+            mu0=0.0 if mu0 is None else mu0,  # placeholders until the data
+            b=1.0 if b is None else b,
             c=args.c,
             a=args.a,
             alpha0=args.alpha0,
@@ -217,8 +215,8 @@ def _cmd_sample(args, argv) -> int:
     data = Dataset(np.loadtxt(args.data, delimiter=",", ndmin=2))
     config = dataclasses.replace(
         config,
-        mu0=_parse_hyper(args.mu0, data.points, "mu0"),
-        b=_parse_hyper(args.b, data.points, "b"),
+        mu0=data.points.mean(axis=0) if mu0 is None else mu0,
+        b=data.points.var(axis=0, ddof=1) if b is None else b,
     )
     trace: list | None = [] if args.trace else None
     draws = gibbs_run(data, config, trace=trace)

@@ -1,4 +1,4 @@
-"""Set partitions in canonical form, contingency tables, and lattice structure.
+"""Set partitions in canonical form and their contingency tables.
 
 A partition of N items is stored as a label sequence in first-occurrence
 canonical form: item 0 has label 0 and each new label is exactly one more
@@ -9,11 +9,9 @@ equality is equality of clusterings.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-ENUMERATION_CAP = 12  # Bell(12) = 4,213,597 partitions; larger blows up
 
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
@@ -115,97 +113,12 @@ def singletons(n: int) -> Partition:
     return Partition(tuple(range(n)))
 
 
-def _check_same_items(c: Partition, d: Partition):
+def contingency(c: Partition, d: Partition) -> np.ndarray:
+    """The (c.k, d.k) array whose entry [i, j] counts the items in cluster
+    i of ``c`` and cluster j of ``d``."""
     if c.n_items != d.n_items:
         raise ValueError(
             f"partitions cover different item counts: {c.n_items} vs {d.n_items}"
         )
-
-
-def _pair_codes(c: Partition, d: Partition) -> np.ndarray:
-    """Per item, c * d.k + d: one code per (cluster of c, cluster of d)."""
-    _check_same_items(c, d)
-    return np.asarray(c.labels) * d.k + np.asarray(d.labels)
-
-
-def contingency(c: Partition, d: Partition) -> np.ndarray:
-    """The (c.k, d.k) array whose entry [i, j] counts the items in cluster
-    i of ``c`` and cluster j of ``d``."""
-    return np.bincount(_pair_codes(c, d), minlength=c.k * d.k).reshape(c.k, d.k)
-
-
-def meet(c: Partition, d: Partition) -> Partition:
-    """Greatest lower bound: co-cluster items co-clustered in both inputs."""
-    return canonicalize(_pair_codes(c, d))
-
-
-def join(c: Partition, d: Partition) -> Partition:
-    """Least upper bound: connected components of the union of both
-    co-clustering relations.
-
-    Implemented with union-find; linking each item to the first member of
-    its cluster in either partition gives the full transitive closure.
-    """
-    _check_same_items(c, d)
-    n = c.n_items
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for part in (c, d):
-        first_member: dict[int, int] = {}
-        for i, lab in enumerate(part.labels):
-            if lab in first_member:
-                union(first_member[lab], i)
-            else:
-                first_member[lab] = i
-    return canonicalize([find(i) for i in range(n)])
-
-
-def leq(c: Partition, d: Partition) -> bool:
-    """True iff every cluster of ``c`` is contained in some cluster of ``d``,
-    that is iff each cluster of ``c`` meets a single cluster of ``d``."""
-    return np.unique(_pair_codes(c, d)).size == c.k
-
-
-def covers(d: Partition, c: Partition) -> bool:
-    """True iff ``d`` merges exactly two clusters of ``c`` (a Hasse edge)."""
-    _check_same_items(c, d)
-    return d.k == c.k - 1 and leq(c, d)
-
-
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield every partition of ``n`` items exactly once, in canonical form.
-
-    Partitions are produced as restricted-growth strings in lexicographic
-    order, so the stream is deterministic.  The count equals the n-th Bell
-    number, which explodes quickly; ``ENUMERATION_CAP`` guards against
-    runaway loops.
-    """
-    if n < 1:
-        raise ValueError("empty partition")
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration too large: n={n} > {ENUMERATION_CAP}")
-    labels = [0] * n
-    maxima = [0] * n  # maxima[i] = max(labels[: i + 1])
-    while True:
-        yield Partition(tuple(labels))
-        i = n - 1
-        while i > 0 and labels[i] > maxima[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        maxima[i] = max(maxima[i - 1], labels[i])
-        for j in range(i + 1, n):
-            labels[j] = 0
-            maxima[j] = maxima[i]
+    codes = np.asarray(c.labels) * d.k + np.asarray(d.labels)
+    return np.bincount(codes, minlength=c.k * d.k).reshape(c.k, d.k)

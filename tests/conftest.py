@@ -1,6 +1,11 @@
-"""Shared helpers: exhaustive partition tables and synthetic posteriors."""
+"""Shared helpers: exhaustive partition tables, synthetic posteriors, and
+plain-Python references for the lattice and information quantities."""
 
+import itertools
+import math
+from collections import Counter
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from postclust import (
     Partition,
     binder,
     canonicalize,
-    enumerate_partitions,
     merge_delta,
     vi,
 )
@@ -22,6 +26,65 @@ def canonical_labels(raw) -> tuple[int, ...]:
     the package's vectorised canonicaliser."""
     mapping: dict = {}
     return tuple(mapping.setdefault(x, len(mapping)) for x in raw)
+
+
+# References written from the definitions; each uses ``Partition`` and
+# nothing else of the package.
+
+
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """Every partition of n >= 1 items once, as restricted-growth strings
+    in lexicographic order."""
+    labels = [0] * n
+    maxima = [0] * n  # maxima[i] = max(labels[: i + 1])
+    while True:
+        yield Partition(tuple(labels))
+        i = n - 1
+        while i > 0 and labels[i] > maxima[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        labels[i] += 1
+        maxima[i] = max(maxima[i - 1], labels[i])
+        for j in range(i + 1, n):
+            labels[j] = 0
+            maxima[j] = maxima[i]
+
+
+def meet(c: Partition, d: Partition) -> Partition:
+    """Greatest lower bound: items together in both c and d."""
+    return Partition(canonical_labels(zip(c.labels, d.labels, strict=True)))
+
+
+def leq(c: Partition, d: Partition) -> bool:
+    """True iff every cluster of c lies inside one cluster of d."""
+    return len(set(zip(c.labels, d.labels, strict=True))) == c.k
+
+
+def entropy(c: Partition) -> float:
+    """Shannon entropy of the cluster-size distribution, in bits."""
+    n = c.n_items
+    return -sum(s / n * math.log2(s / n) for s in c.sizes)
+
+
+def mutual_information(c: Partition, d: Partition) -> float:
+    """Mutual information of two clusterings of the same items, in bits."""
+    n = c.n_items
+    joint = Counter(zip(c.labels, d.labels, strict=True))
+    return sum(
+        nij / n * math.log2(nij * n / (c.sizes[i] * d.sizes[j]))
+        for (i, j), nij in joint.items()
+    )
+
+
+def rand_index(c: Partition, d: Partition) -> float:
+    """Fraction of item pairs on which c and d agree (together or apart)."""
+    pairs = list(itertools.combinations(range(c.n_items), 2))
+    agree = sum(
+        (c.labels[i] == c.labels[j]) == (d.labels[i] == d.labels[j])
+        for i, j in pairs
+    )
+    return agree / len(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,23 @@
+"""The package's public names: exactly these, and every one importable."""
+
+import postclust
+import postclust.metrics
+
+PUBLIC = [
+    "BallBounds", "CredibleBall", "Dataset", "DrawMatrix", "Metric",
+    "Neighbors", "Partition", "SamplerConfig", "SearchConfig", "SearchResult",
+    "__version__", "ball_bounds", "best_sampled", "binder", "canonicalize",
+    "closest_neighbors", "contingency", "credible_ball", "crp_log_prior",
+    "draw_distances", "expected_binder", "expected_loss", "expected_vi",
+    "expected_vi_lower", "gibbs_run", "greedy_search", "load_draws",
+    "load_galaxy", "log_marginal", "merge_delta", "one_cluster",
+    "similarity_matrix", "simulate_example", "singletons", "vi",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(postclust.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(postclust, name), name
+    for name in postclust.metrics.__all__:
+        assert hasattr(postclust.metrics, name), name

@@ -65,12 +65,14 @@ def test_non_finite_data_is_a_data_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_non_finite_hyperparameter_is_a_data_error(tmp_path):
+def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys):
     data = tmp_path / "ok.csv"
     data.write_text("1.0\n2.5\n3.0\n4.0\n")
     code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
                      "--iterations", "3", "--burn-in", "0", "--b", "nan"])
-    assert code == 3
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --b must be finite")
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_unknown_metric_is_a_usage_error(tmp_path):
@@ -130,7 +132,9 @@ def test_removed_search_option_is_rejected_by_argparse(tmp_path, capsys, extra):
 
 
 SAMPLER_ERRORS = [("--c", "0"), ("--a", "-1"), ("--alpha0", "0"),
-                  ("--alpha-shape", "0"), ("--c", "nan"), ("--b", "-1")]
+                  ("--alpha-shape", "0"), ("--c", "nan"), ("--b", "-1"),
+                  ("--b", "nan"), ("--b", "inf"), ("--mu0", "nan"),
+                  ("--b", "1,x")]
 
 
 @pytest.mark.parametrize("option, value", SAMPLER_ERRORS)
@@ -192,6 +196,21 @@ def test_file_outputs_hold_what_they_promise(tmp_path):
     rows = trace.read_text().splitlines()
     assert rows[0] == "sweep,clusters,alpha,log_joint"
     assert len(rows) == 1 + 6
+
+
+def test_estimate_manifest_hashes_an_init_file(tmp_path):
+    draws, init = tmp_path / "draws.csv", tmp_path / "init.txt"
+    draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")
+    init.write_text("0,1,2,3,4\n")
+    est = tmp_path / "est.json"
+    assert cli.main(["estimate", str(draws), "--init", str(init),
+                     "--out", str(est)]) == 0
+    manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
+    assert manifest["inputs"] == [str(draws), str(init)]
+    assert manifest["input_sha256"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (draws, init)
+    }
 
 
 def test_label_beyond_int64_is_a_data_error(tmp_path, capsys):
