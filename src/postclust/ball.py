@@ -53,7 +53,9 @@ def credible_ball(
     order = np.sort(d)
     m = draws.m
     counts = np.arange(1, m + 1)
-    needed = int(np.flatnonzero(counts / m >= 1.0 - alpha)[0])
+    # the mass left outside against alpha: the float 1.0 - alpha can round
+    # above 1 - alpha and ask for one draw more than the ball needs
+    needed = int(np.flatnonzero((m - counts) / m <= alpha)[0])
     eps = float(order[needed])
     members = np.flatnonzero(d <= eps)
     return CredibleBall(

@@ -18,16 +18,21 @@ Loss estimators:
   cheap for large M; one per-posterior scalar comes from the draws.
 
 ``best_sampled`` scores every distinct draw in one scan rather than one
-estimator call each.  The draws are cut into blocks of item-by-cluster
-indicator matrices ``Z`` so small that the product of two blocks holds at
-most ``TILE_CELLS`` cells.  For the exact VI the contingency counts of
-every pair of draws in two blocks are one such product ``Z_I^T Z_J``,
-walked over the tiles with J >= I; for the Binder loss and the lower bound
-each draw's own-cluster similarity mass is read from ``P Z``.  The
-similarity matrix itself is the sum of ``Z Z^T`` over the same blocks.
-Every draw within ``CERTIFY_MARGIN`` of the smallest scanned loss is
-rescored by ``expected_loss``, so the result is that of scoring each draw
-with the estimator, bit for bit.
+estimator call each.  For the exact VI the joint term of draw u, the sum
+of f(|A ∩ B|), f(n) = n log2 n, over its clusters A and the clusters B of
+every draw, is Σ_{A in u} G(A) with G(A) = Σ_c mult(c) f(|A ∩ c|): c runs
+over the distinct clusters of the chain and mult(c) counts the draws that
+hold c.  So G is scored once per distinct cluster, however many draws
+share it, from products of tiles of cluster indicators of at most
+``TILE_CELLS`` cells, walked with J >= I.  The scan is still quadratic,
+in the number of distinct clusters.  For the Binder loss and the lower
+bound the draws are cut into blocks of item-by-cluster indicator
+matrices ``Z`` of at most sqrt(TILE_CELLS) clusters, and each draw's
+own-cluster similarity mass is read from ``P Z``.  The similarity matrix
+itself is the sum of ``Z Z^T`` over the same blocks.  Every draw within
+``CERTIFY_MARGIN`` of the smallest scanned loss is rescored by
+``expected_loss``, so the result is that of scoring each draw with the
+estimator, bit for bit.
 """
 
 import math
@@ -41,7 +46,7 @@ from .metrics import Metric, _check_metric, _xlogx
 from .partition import Partition, _canonical_rows
 
 ESTIMATORS = ("exact", "lower-bound")
-TILE_CELLS = 2**15  # cells of one product of two blocks' indicator matrices
+TILE_CELLS = 2**15  # cells of one product of two tiles' indicator matrices
 CERTIFY_MARGIN = 1e-9  # scanned-loss window rescored by the public estimator
 
 
@@ -171,9 +176,8 @@ def load_draws(source) -> DrawMatrix:
 def _blocks(ks: np.ndarray) -> list[slice]:
     """Consecutive runs of draws with ``ks`` clusters each.
 
-    A run holds at most sqrt(TILE_CELLS) clusters together, so that the
-    product of the indicator matrices of two runs has at most
-    ``TILE_CELLS`` cells and each indicator matrix at most N sqrt(TILE_CELLS);
+    A run holds at most sqrt(TILE_CELLS) clusters together, so that its
+    item-by-cluster indicator matrix has at most N sqrt(TILE_CELLS) cells;
     a draw with more clusters is a run of its own.
     """
     width = math.isqrt(TILE_CELLS)
@@ -330,29 +334,63 @@ def expected_loss(
 
 
 def _scan_joint(rows: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row u of distinct draws: Σ_v weights[v] Σ_cells n log2 n over the
-    contingency counts of u against row v.
+    """Per row u of distinct draws: Σ_v weights[v] Σ_cells f(n), f(n) =
+    n log2 n, over the contingency counts of u against row v.
 
-    The counts of two blocks are one float32 product of their indicator
-    matrices, exact since they are integers <= N.  Only tiles with J >= I
-    are walked: an off-diagonal tile also adds to block J, weighted by the
-    draws of block I.
+    The sum splits by u's clusters A into Σ_{A in u} G(A), with
+    G(A) = Σ_c mult(c) f(|A ∩ c|) over the distinct clusters c of all the
+    rows and mult(c) the weight of the rows holding c.  So each distinct
+    cluster is found once, as a packed item bitmask, and G is scored once
+    per distinct cluster.  A one-item cluster has G = 0 and adds nothing
+    to any other, since f(0) = f(1) = 0, so only larger clusters enter
+    the products.  Those are cut into tiles of at most sqrt(TILE_CELLS)
+    clusters; the counts of two tiles are one float32 product of their
+    indicator matrices, exact since they are integers <= N.  Only tiles
+    with J >= I are walked: an off-diagonal tile also adds to tile J,
+    weighted by the clusters of tile I.
     """
     n = rows.shape[1]
+    clusters, sizes = _packed_clusters(rows, ks)
+    _, index, inverse = np.unique(
+        clusters.view(np.dtype((np.void, clusters.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    mult = np.bincount(inverse, weights=np.repeat(weights, ks))
+    big = np.flatnonzero(sizes[index] > 1)
+    z, w = clusters[index[big]], mult[big]
     table = _xlogx(np.arange(n + 1))
-    joint = np.zeros(len(rows))
-    blocks = _blocks(ks)
-    for i, bi in enumerate(blocks):
-        zi, start_i = _block_onehot(rows[bi], ks[bi], np.float32)
-        wi = np.repeat(weights[bi], ks[bi])  # each cluster weighted by its draw
-        for bj in blocks[i:]:
-            zj, start_j = _block_onehot(rows[bj], ks[bj], np.float32)
-            cells = table.take((zi.T @ zj).astype(np.intp))
-            joint[bi] += np.add.reduceat(cells @ np.repeat(weights[bj], ks[bj]),
-                                         start_i)
-            if bj is not bi:
-                joint[bj] += np.add.reduceat(wi @ cells, start_j)
-    return joint
+    g = np.zeros(len(big))
+    width = math.isqrt(TILE_CELLS)
+    tiles = [slice(lo, lo + width) for lo in range(0, len(big), width)]
+    for i, ti in enumerate(tiles):
+        zi = np.unpackbits(z[ti], axis=1, count=n).astype(np.float32)
+        for tj in tiles[i:]:
+            zj = np.unpackbits(z[tj], axis=1, count=n).astype(np.float32)
+            cells = table.take((zi @ zj.T).astype(np.intp))
+            g[ti] += cells @ w[tj]
+            if tj is not ti:
+                g[tj] += w[ti] @ cells
+    per_cluster = np.zeros(len(index))
+    per_cluster[big] = g
+    return np.add.reduceat(per_cluster[inverse], np.cumsum(ks) - ks)
+
+
+def _packed_clusters(rows: np.ndarray,
+                     ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The item bitmask of every cluster of canonical label ``rows``, one
+    ``np.packbits`` row each, row after row in label order, and the size of
+    each cluster.  Built over the runs of ``_blocks``, so each unpacked
+    indicator matrix stays small."""
+    bits = np.empty((int(ks.sum()), (rows.shape[1] + 7) // 8), np.uint8)
+    sizes = np.empty(len(bits), np.int64)
+    lo = 0
+    for block in _blocks(ks):
+        z, _ = _block_onehot(rows[block], ks[block], bool)
+        hi = lo + z.shape[1]
+        bits[lo:hi] = np.packbits(z.T, axis=1)
+        sizes[lo:hi] = z.sum(axis=0)
+        lo = hi
+    return bits, sizes
 
 
 def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
@@ -373,8 +411,8 @@ def _scanned_losses(draws: DrawMatrix, metric: Metric,
                     estimator: str) -> tuple[np.ndarray, np.ndarray]:
     """The first occurrence of every distinct draw, in chain order, and the
     loss the scan gives it: the estimator's value up to rounding."""
-    _, first, counts = np.unique(draws.draws, axis=0, return_index=True,
-                                 return_counts=True)
+    first, counts = np.unique(draws.draws, axis=0, return_index=True,
+                              return_counts=True)[1:]
     order = np.argsort(first)
     first, weights = first[order], counts[order].astype(np.float64)
     rows, ks = draws.draws[first], draws._ks[first]

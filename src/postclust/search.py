@@ -43,7 +43,7 @@ import numpy as np
 from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
 from .posterior import (
-    CERTIFY_MARGIN, DrawMatrix, _check_estimator, best_sampled,
+    CERTIFY_MARGIN, TILE_CELLS, DrawMatrix, _check_estimator, best_sampled,
     expected_loss,
 )
 
@@ -146,22 +146,42 @@ def _vi_lower_gains(c: Partition, moves: Neighbors,
 
 def _vi_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
     """(2/NM) Σ [f(x+y) - f(x) - f(y)], f(n) = n log2 n, over the draw
-    cells holding x > 0 items of X and y > 0 of Y."""
+    cells holding x items of X and y of Y; a cell with x = 0 or y = 0
+    adds nothing.
+
+    Only the cells meeting cluster a, the first of a merged pair or the
+    split cluster, can hold both.  A merge gathers the counts of a and b
+    in those cells from the contingency counts against every draw.  The x
+    of the splits of one cluster come from one bincount over the cells of
+    their pieces' items, with each move's codes offset by move, and y is
+    the count of the cluster less x.  Moves are taken a few at a time, so
+    that the cells and codes of one chunk stay near ``TILE_CELLS``.
+    """
     joint = draws._joint_counts(c).reshape(-1, c.k)  # draw cells x clusters
     column = np.ascontiguousarray(joint.T)
     f = _xlogx(np.arange(c.n_items + 1)).take
+    a, b = moves.pair.T
     gains = np.empty(len(moves))
-    for t, (a, b) in enumerate(moves.pair.tolist()):
-        if moves.merge[t]:
-            cells = np.flatnonzero(column[a])
-            x, y = column[a][cells], column[b][cells]
-        else:
-            x = np.bincount(draws._rowcode[:, moves.part[t]].ravel(),
-                            minlength=joint.shape[0])
-            cells = np.flatnonzero(x)
-            x, y = x[cells], column[a][cells] - x[cells]
-        x, y = x[y > 0], y[y > 0]
-        gains[t] = (f(x + y) - f(x) - f(y)).sum()
+    local = np.empty(column.shape[1], dtype=np.intp)
+    for cluster in np.unique(a).tolist():
+        cells = np.flatnonzero(column[cluster])
+        u = column[cluster, cells]
+        local[cells] = np.arange(len(cells))
+        for merge in (True, False):
+            group = np.flatnonzero((a == cluster) & (moves.merge == merge))
+            # a move's cells, and M codes per item of its piece
+            cost = np.cumsum(len(cells) + draws.m * moves.part[group].sum(axis=1))
+            cut = np.flatnonzero(np.diff(cost // TILE_CELLS)) + 1
+            for t in np.split(group, cut):
+                if merge:
+                    x, y = u, column[b[t][:, None], cells]
+                else:
+                    move, item = np.nonzero(moves.part[t])
+                    codes = local[draws._rowcode[:, item]] + move * len(cells)
+                    x = np.bincount(codes.ravel(), minlength=len(t) * len(cells))
+                    x = x.reshape(len(t), len(cells))
+                    y = u - x
+                gains[t] = (f(x + y) - f(x) - f(y)).sum(axis=1)
     return 2.0 * gains / (draws.m * c.n_items)
 
 

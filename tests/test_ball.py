@@ -25,6 +25,30 @@ def make_draws(rows):
     return DrawMatrix(np.asarray(rows))
 
 
+def size_profiles(n, largest=None):
+    """Every multiset of cluster sizes summing to n, largest first."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for size in range(min(n, largest), 0, -1):
+        for rest in size_profiles(n - size, size):
+            yield (size,) + rest
+
+
+def spread_draws(m, n=16):
+    """m draws of n items at distinct VI distances from one cluster: one
+    draw per size profile, skipping a profile whose Σ s log2 s, and so
+    whose distance, repeats an earlier one."""
+    rows, seen = [], set()
+    for sizes in size_profiles(n):
+        key = round(sum(s * math.log2(s) for s in sizes), 9)
+        if key not in seen:
+            seen.add(key)
+            rows.append(np.repeat(np.arange(len(sizes)), sizes))
+    return make_draws(rows[:m])
+
+
 class TestCredibleBall:
     def test_degenerate_posterior(self):
         c = canonicalize([0, 0, 1])
@@ -65,6 +89,17 @@ class TestCredibleBall:
                 assert len(ball.member_indices) == round(
                     ball.coverage * draws.m
                 )
+
+    @pytest.mark.parametrize("m, alpha, members", [(10, 0.7, 3),
+                                                   (100, 0.18, 82)])
+    def test_fewest_draws_holding_the_mass(self, m, alpha, members):
+        # the float 1.0 - alpha rounds above the decimal 1 - alpha for
+        # these alphas; the ball still holds just the fewest draws whose
+        # share reaches it, 3 of 10 and 82 of 100
+        draws, center = spread_draws(m), one_cluster(16)
+        assert len(np.unique(draw_distances(center, draws, Metric.VI))) == m
+        ball = credible_ball(center, draws, alpha, Metric.VI)
+        assert len(ball.member_indices) == members
 
     def test_radius_is_minimal_on_the_observed_grid(self, rng):
         for _ in range(20):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,32 @@ def reference_best(draws, metric, estimator):
     return best
 
 
+def shared_cluster_draws(rng):
+    """Items 0-11 form one cluster in every draw; items 12-19 vary."""
+    rows = np.zeros((60, 20), dtype=np.int64)
+    rows[:, 12:] = rng.integers(1, 5, size=(60, 8))
+    return DrawMatrix(rows)
+
+
+def weighted_draws(rng):
+    """Four distinct draws, all singletons among them, repeated 9, 4, 2
+    and 1 times in a shuffled chain."""
+    pool = [list(range(10)), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
+            [0] * 5 + [1] * 5, [0, 1, 2, 3, 4, 0, 0, 0, 5, 6]]
+    rows = np.repeat(np.asarray(pool), [9, 4, 2, 1], axis=0)
+    return DrawMatrix(rows[rng.permutation(len(rows))])
+
+
+def spread_posterior(seed, n, m):
+    """Five base clusters; each draw moves 6 random items to any of 7
+    labels, so nearly every draw and cluster is distinct."""
+    rng = np.random.default_rng(seed)
+    rows = np.tile(rng.integers(0, 5, size=n), (m, 1))
+    for row in rows:
+        row[rng.choice(n, size=6, replace=False)] = rng.integers(0, 7, size=6)
+    return DrawMatrix(rows)
+
+
 class TestScan:
     @pytest.mark.parametrize("metric,estimator", ESTIMATES)
     def test_scanned_loss_of_every_draw_matches_the_estimator(
@@ -437,6 +464,39 @@ class TestScan:
             part, loss = best_sampled(draws, metric, estimator)
             ref_part, ref_loss = reference_best(draws, metric, estimator)
             assert part == ref_part and loss == ref_loss
+
+    @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    @pytest.mark.parametrize("posterior", [
+        shared_cluster_draws,
+        lambda rng: synthetic_draws(rng, 13, 50, support=20),
+        lambda rng: synthetic_draws(rng, 203, 30, support=12),
+        lambda rng: DrawMatrix(np.tile(np.arange(9), (7, 1))),
+        weighted_draws,
+    ], ids=["shared-cluster", "n13", "n203", "all-singletons", "weighted"])
+    def test_scan_and_best_draw_match_the_estimator(
+        self, rng, metric, estimator, posterior
+    ):
+        draws = posterior(rng)
+        first, scanned = _scanned_losses(draws, metric, estimator)
+        exact = [expected_loss(draws.row(u), draws, metric, estimator)
+                 for u in first]
+        np.testing.assert_allclose(scanned, exact, rtol=0, atol=TOL)
+        assert best_sampled(draws, metric, estimator) == reference_best(
+            draws, metric, estimator)
+
+    def test_memory_stays_within_tiles(self):
+        # the draws hold about 7000 distinct clusters: a product of all of
+        # them against all would take some 190 MiB, and unpacking all their
+        # indicators at once (5.5 MiB of float32) takes the peak past 8 MiB
+        draws = spread_posterior(0, 200, 2000)
+        draws._row_xlogx  # the per-draw statistics every estimator shares
+        tracemalloc.start()
+        try:
+            _scanned_losses(draws, Metric.VI, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestArgminConsistency:

@@ -272,6 +272,20 @@ class TestMoveDeltas:
                     )
         assert kinds == {"merge", "exhaustive", "peel-off", "balanced"}
 
+    @pytest.mark.parametrize("cells", [1, 64])
+    def test_vi_gains_do_not_depend_on_the_chunks(self, cells, monkeypatch):
+        # 1 cell scores one move per chunk; 64 puts a few moves in a chunk
+        # and several chunks in one cluster's merges and splits
+        draws = synthetic_draws(np.random.default_rng(5), 12, 8)
+        config = SearchConfig(metric=Metric.VI)
+        for start in (draws.row(0), one_cluster(12), singletons(12)):
+            moves = closest_neighbors(start, Metric.VI, 10**6, 1)
+            whole = _loss_deltas(start, moves, draws, config)
+            monkeypatch.setattr(postclust.search, "TILE_CELLS", cells)
+            chunked = _loss_deltas(start, moves, draws, config)
+            monkeypatch.undo()
+            np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-15)
+
 
 class TestFullEvaluationAgreement:
     """Scoring by loss changes and certifying the shortlist walks exactly
