@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import Metric
 from .partition import Partition
-from .posterior import DrawMatrix, draw_distances
+from .posterior import DrawMatrix, _unique_rows, draw_distances
 
 
 @dataclass(eq=False)
@@ -78,14 +78,12 @@ def ball_bounds(ball: CredibleBall, draws: DrawMatrix) -> BallBounds:
     by draw frequency and then by label sequence.
     """
     idx = ball.member_indices
-    uniques, first, counts = np.unique(
-        draws.draws[idx], axis=0, return_index=True, return_counts=True
-    )
+    first, counts = _unique_rows(draws.draws[idx])
     u_dist = ball.distances[idx[first]]
-    u_k = uniques.max(axis=1) + 1
+    u_k = draws._ks[idx[first]]
 
     def collect(mask: np.ndarray) -> tuple[Partition, ...]:
-        chosen = np.flatnonzero(mask)  # in label order: np.unique sorts rows
+        chosen = np.flatnonzero(mask)  # in label order: _unique_rows sorts
         chosen = chosen[np.argsort(-counts[chosen], kind="stable")]
         return tuple(draws.row(idx[first[u]]) for u in chosen)
 

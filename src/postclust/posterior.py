@@ -4,7 +4,10 @@ A ``DrawMatrix`` holds M sampled partitions of N items, one canonical label
 row per MCMC sweep; it is the empirical posterior everything downstream
 consumes.  The N x N similarity matrix of co-clustering probabilities is
 the sufficient statistic for the pair-counting loss and for the fast lower
-bound on the expected information distance.
+bound on the expected information distance.  It is the sum of ``Z^T Z``
+over chunks of draws of at most ``TILE_CELLS`` cells, ``Z`` the float32
+cluster-by-item indicators of a chunk's cluster codes; a chunk's counts
+are integers below 2^24, so the sum is exact.
 
 Loss estimators:
 
@@ -24,12 +27,13 @@ every draw, is Σ_{A in u} G(A) with G(A) = Σ_c mult(c) f(|A ∩ c|): c runs
 over the distinct clusters of the chain and mult(c) counts the draws that
 hold c.  So G is scored once per distinct cluster, however many draws
 share it, from products of tiles of cluster indicators of at most
-``TILE_CELLS`` cells, walked with J >= I.  The scan is still quadratic,
-in the number of distinct clusters.  For the Binder loss and the lower
-bound the draws are cut into blocks of item-by-cluster indicator
-matrices ``Z`` of at most sqrt(TILE_CELLS) clusters, and each draw's
-own-cluster similarity mass is read from ``P Z``.  The similarity matrix
-itself is the sum of ``Z Z^T`` over the same blocks.  Every draw within
+``TILE_CELLS`` cells, walked with J >= I; the clusters are found as packed
+item bitmasks, scattered from the same cluster codes.  The scan is still
+quadratic, in the number of distinct clusters.  For the Binder loss and
+the lower bound each draw's own-cluster similarity mass is read from
+``P Z``, over chunks of item-by-cluster indicators ``Z`` of at most
+``TILE_CELLS`` cells.  The distinct draws are found by sorting byte keys
+of their label rows (``_unique_rows``).  Every draw within
 ``CERTIFY_MARGIN`` of the smallest scanned loss is rescored by
 ``expected_loss``, so the result is that of scoring each draw with the
 estimator, bit for bit.
@@ -37,7 +41,7 @@ estimator, bit for bit.
 
 import math
 import warnings
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +50,7 @@ from .metrics import Metric, _check_metric, _xlogx
 from .partition import Partition, _canonical_rows
 
 ESTIMATORS = ("exact", "lower-bound")
-TILE_CELLS = 2**15  # cells of one product of two tiles' indicator matrices
+TILE_CELLS = 2**15  # cells of one chunk's indicators or of one tile product
 CERTIFY_MARGIN = 1e-9  # scanned-loss window rescored by the public estimator
 
 
@@ -77,7 +81,8 @@ class DrawMatrix:
 
     @cached_property
     def similarity(self) -> np.ndarray:
-        """The similarity matrix, built once per draw matrix."""
+        """The similarity matrix, built once per draw matrix from the
+        cluster codes of chunks of draws."""
         return _co_clustering(self)
 
     # -- cached per-draw statistics used by the vectorized estimators ------
@@ -173,40 +178,32 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(labels)
 
 
-def _blocks(ks: np.ndarray) -> list[slice]:
-    """Consecutive runs of draws with ``ks`` clusters each.
-
-    A run holds at most sqrt(TILE_CELLS) clusters together, so that its
-    item-by-cluster indicator matrix has at most N sqrt(TILE_CELLS) cells;
-    a draw with more clusters is a run of its own.
-    """
-    width = math.isqrt(TILE_CELLS)
-    bounds, held = [0], 0
-    for i, k in enumerate(ks.tolist()):
-        if held and held + k > width:
-            bounds.append(i)
-            held = 0
-        held += k
-    bounds.append(len(ks))
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _block_onehot(rows: np.ndarray, ks: np.ndarray,
-                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The item-by-cluster indicators of canonical label ``rows`` side by
-    side, and the column where each row's clusters start."""
-    start = np.cumsum(ks) - ks
-    z = np.zeros((rows.shape[1], int(ks.sum())), dtype)
-    z[np.arange(rows.shape[1]), rows + start[:, None]] = 1
-    return z, start
+def _chunk_codes(rows: np.ndarray, ks: np.ndarray):
+    """Cluster codes of canonical label ``rows`` with ``ks`` clusters each,
+    chunk by chunk: consecutive rows lo:hi whose clusters hold at most
+    ``TILE_CELLS`` item cells together (a row with more is a chunk of its
+    own).  Yields lo, hi, the number of clusters of the chunk and the code
+    of every item, its label plus the clusters of the chunk's rows before
+    its own, so each cluster of the chunk has one code."""
+    ptr = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(ks, out=ptr[1:])
+    width, lo = TILE_CELLS // rows.shape[1], 0
+    while lo < len(rows):
+        hi = int(np.searchsorted(ptr, ptr[lo] + width, "right")) - 1
+        hi = max(hi, lo + 1)
+        start = ptr[lo:hi] - ptr[lo]
+        yield lo, hi, int(ptr[hi] - ptr[lo]), rows[lo:hi] + start[:, None]
+        lo = hi
 
 
 def _co_clustering(draws: DrawMatrix) -> np.ndarray:
     n = draws.n
-    counts = np.zeros((n, n))  # integers, so exact in float64
-    for block in _blocks(draws._ks):
-        z, _ = _block_onehot(draws.draws[block], draws._ks[block], np.float64)
-        counts += z @ z.T
+    items = np.arange(n)
+    counts = np.zeros((n, n))
+    for _, _, clusters, codes in _chunk_codes(draws.draws, draws._ks):
+        z = np.zeros((clusters, n), np.float32)
+        z[codes, items] = 1
+        counts += z.T @ z  # integers below 2^24: exact in float32
     p = counts / draws.m
     p.setflags(write=False)
     return p
@@ -253,11 +250,20 @@ def expected_binder(candidate: Partition, psm: np.ndarray) -> float:
     _check_similarity(candidate, psm)
     n = candidate.n_items
     labels = np.asarray(candidate.labels)
-    same = labels[:, None] == labels[None, :]
-    iu = np.triu_indices(n, 1)
-    p = psm[iu]
-    s = same[iu]
+    upper = _upper_pairs(n)
+    p = psm[upper]
+    s = (labels[:, None] == labels[None, :])[upper]
     return 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (n * n)
+
+
+@lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> np.ndarray:
+    """The N x N mask of the item pairs i < j, which it picks row by row:
+    the order of ``np.triu_indices(n, 1)``.  Cached, so read-only; one
+    byte per cell, a quarter of an int64 index of the pairs."""
+    upper = np.triu(np.ones((n, n), bool), 1)
+    upper.setflags(write=False)
+    return upper
 
 
 def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
@@ -333,9 +339,10 @@ def expected_loss(
     return expected_vi_lower(candidate, psm, draws)
 
 
-def _scan_joint(rows: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row u of distinct draws: Σ_v weights[v] Σ_cells f(n), f(n) =
-    n log2 n, over the contingency counts of u against row v.
+def _scan_joint(draws: DrawMatrix, first: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """Per distinct draw u of ``first``: Σ_v weights[v] Σ_cells f(n),
+    f(n) = n log2 n, over the contingency counts of u against draw v.
 
     The sum splits by u's clusters A into Σ_{A in u} G(A), with
     G(A) = Σ_c mult(c) f(|A ∩ c|) over the distinct clusters c of all the
@@ -349,8 +356,8 @@ def _scan_joint(rows: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.nda
     with J >= I are walked: an off-diagonal tile also adds to tile J,
     weighted by the clusters of tile I.
     """
-    n = rows.shape[1]
-    clusters, sizes = _packed_clusters(rows, ks)
+    n, ks = draws.n, draws._ks[first]
+    clusters, sizes = _packed_clusters(draws, first)
     _, index, inverse = np.unique(
         clusters.view(np.dtype((np.void, clusters.shape[1]))).ravel(),
         return_index=True, return_inverse=True,
@@ -375,55 +382,73 @@ def _scan_joint(rows: np.ndarray, ks: np.ndarray, weights: np.ndarray) -> np.nda
     return np.add.reduceat(per_cluster[inverse], np.cumsum(ks) - ks)
 
 
-def _packed_clusters(rows: np.ndarray,
-                     ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The item bitmask of every cluster of canonical label ``rows``, one
-    ``np.packbits`` row each, row after row in label order, and the size of
-    each cluster.  Built over the runs of ``_blocks``, so each unpacked
-    indicator matrix stays small."""
-    bits = np.empty((int(ks.sum()), (rows.shape[1] + 7) // 8), np.uint8)
-    sizes = np.empty(len(bits), np.int64)
+def _packed_clusters(draws: DrawMatrix,
+                     first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The item bitmask of every cluster of the draws ``first``, one
+    ``np.packbits`` row each, draw after draw in label order, and the size
+    of each cluster.  The codes of each chunk scatter into a small
+    cluster-by-item bool indicator; the sizes are the cached ones."""
+    n, ks = draws.n, draws._ks[first]
+    items = np.arange(n)
+    bits = np.empty((int(ks.sum()), (n + 7) // 8), np.uint8)
     lo = 0
-    for block in _blocks(ks):
-        z, _ = _block_onehot(rows[block], ks[block], bool)
-        hi = lo + z.shape[1]
-        bits[lo:hi] = np.packbits(z.T, axis=1)
-        sizes[lo:hi] = z.sum(axis=0)
-        lo = hi
-    return bits, sizes
+    for _, _, clusters, codes in _chunk_codes(draws.draws[first], ks):
+        z = np.zeros((clusters, n), bool)
+        z[codes, items] = True
+        bits[lo:lo + clusters] = np.packbits(z, axis=1)
+        lo += clusters
+    cells = draws._cellptr[first] - (np.cumsum(ks) - ks)
+    return bits, draws._cluster_sizes_flat[np.repeat(cells, ks) + np.arange(lo)]
 
 
 def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
                    psm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of distinct draws: Σ_n mass_n and Σ_n log2 mass_n, with
-    mass_n the similarity of item n to its own cluster, diagonal included."""
+    mass_n the similarity of item n to its own cluster, diagonal included,
+    read from ``psm Z`` with ``Z`` the item-by-cluster indicators of each
+    chunk."""
     n = rows.shape[1]
+    items = np.arange(n)
     total, logs = np.empty(len(rows)), np.empty(len(rows))
-    for block in _blocks(ks):
-        z, start = _block_onehot(rows[block], ks[block], np.float64)
-        own = (psm @ z)[np.arange(n), rows[block] + start[:, None]]
-        total[block] = own.sum(axis=1)
-        logs[block] = np.log2(own).sum(axis=1)
+    for lo, hi, clusters, codes in _chunk_codes(rows, ks):
+        z = np.zeros((n, clusters))
+        z[items, codes] = 1
+        own = (psm @ z)[items, codes]
+        total[lo:hi] = own.sum(axis=1)
+        logs[lo:hi] = np.log2(own).sum(axis=1)
     return total, logs
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence and the count of every distinct canonical label
+    row, in the row order of ``np.unique(rows, axis=0)``.
+
+    Each row is one byte key of its labels as big-endian unsigned integers
+    of the narrowest width that holds N - 1; keys sort bytewise like the
+    non-negative labels do, and the stable sort keeps the first of equal
+    rows in front.
+    """
+    width = np.min_scalar_type(rows.shape[1] - 1).newbyteorder(">")
+    keys = np.ascontiguousarray(rows, dtype=width)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_counts=True)[1:]
 
 
 def _scanned_losses(draws: DrawMatrix, metric: Metric,
                     estimator: str) -> tuple[np.ndarray, np.ndarray]:
     """The first occurrence of every distinct draw, in chain order, and the
     loss the scan gives it: the estimator's value up to rounding."""
-    first, counts = np.unique(draws.draws, axis=0, return_index=True,
-                              return_counts=True)[1:]
+    first, counts = _unique_rows(draws.draws)
     order = np.argsort(first)
     first, weights = first[order], counts[order].astype(np.float64)
-    rows, ks = draws.draws[first], draws._ks[first]
     n, m = draws.n, draws.m
     a = float(draws._row_xlogx.sum())
     b = draws._row_xlogx[first]
     if metric is Metric.VI and estimator == "exact":
-        joint = _scan_joint(rows, ks, weights)
+        joint = _scan_joint(draws, first, weights)
         return first, ((a + b * m - 2.0 * joint) / m) / n
     psm = draws.similarity
-    mass, log_mass = _scan_own_mass(rows, ks, psm)
+    mass, log_mass = _scan_own_mass(draws.draws[first], draws._ks[first], psm)
     if metric is Metric.BINDER:
         pairs = (psm.sum() - n) / 2.0  # Σ_{i<j} p_ij
         same = (draws._row_sumsq[first] - n) / 2.0  # co-clustered pairs

@@ -235,3 +235,41 @@ def test_partition_file_gives_its_first_row(tmp_path, capsys):
     center.write_text("# estimate\n7,7,3\n0,1,2\n")
     assert cli.main(["dist", str(center), "5,5,9", "--metric", "binder"]) == 0
     assert float(capsys.readouterr().out) == 0.0
+
+
+def pinned_draws(path):
+    """80 draws resampled from 12 perturbations of clusters of 9, 8, 7 and
+    6 items: repeated draws, and ties on every ball bound."""
+    rng = np.random.default_rng(15)
+    truth = np.repeat(np.arange(4), (9, 8, 7, 6))
+    pool = np.tile(truth, (12, 1))
+    for row in pool:
+        moved = rng.choice(truth.size, size=3, replace=False)
+        row[moved] = rng.integers(0, 6, size=3)
+    rows = pool[rng.integers(0, len(pool), size=80)]
+    np.savetxt(path, rows, fmt="%d", delimiter=",")
+
+
+@pytest.mark.parametrize("metric, estimate_digest, ball_digest", [
+    ("vi",
+     "5312494034f70780ba9c594b1176c5bb8bb62891cfff3447a52ae000bbab502c",
+     "1148c00a275793f365e11c815cfc9825276dbfb5b1ecc90d2311631cedbe7170"),
+    ("binder",
+     "2f580ec895ac9369b81b86c643067cabf76bae7dea1b8991f3999c00eeb8ef18",
+     "685e380ec75bf764aea0041dc51760a21105262decf005ac9c9293ce9dc309f5"),
+])
+def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
+                                           ball_digest):
+    # sha256 of the result files, recorded before the similarity matrix,
+    # the cluster bitmasks and the row dedupe were built from the draw
+    # codes: the label order of tied bounds and the bits of every float
+    draws, est, ball = (tmp_path / name for name in
+                        ("draws.csv", "est.json", "ball.json"))
+    pinned_draws(draws)
+    assert cli.main(["estimate", str(draws), "--metric", metric,
+                     "--out", str(est)]) == 0
+    labels = json.loads(est.read_text())["labels"]
+    assert cli.main(["ball", str(draws), labels, "--metric", metric,
+                     "--alpha", "0.1", "--out", str(ball)]) == 0
+    assert hashlib.sha256(est.read_bytes()).hexdigest() == estimate_digest
+    assert hashlib.sha256(ball.read_bytes()).hexdigest() == ball_digest

@@ -31,9 +31,10 @@ from postclust import (
 
 import postclust.posterior
 from postclust.partition import _canonical_rows
-from postclust.posterior import _scanned_losses
+from postclust.posterior import _scanned_losses, _unique_rows, _upper_pairs
 
-from conftest import all_partitions, canonical_labels, synthetic_draws
+from conftest import (all_partitions, canonical_labels, crp_row,
+                      synthetic_draws)
 
 TOL = 1e-12
 ESTIMATES = [
@@ -170,15 +171,33 @@ class TestSimilarityMatrix:
         assert psm.shape == (6, 6) and not psm.flags.writeable
 
     def test_chunking_invariant(self, rng, monkeypatch):
-        # the draws are summed in blocks of at most TILE_CELLS indicator
-        # cells; one draw per block, several, or all at once, the counts
-        # are integers and the matrix must be exact
-        rows = synthetic_draws(rng, 7, 300).draws
-        brute = np.mean([row[:, None] == row[None, :] for row in rows], axis=0)
-        for cells in (1, 40, 2**30):
-            monkeypatch.setattr(postclust.posterior, "TILE_CELLS", cells)
-            np.testing.assert_array_equal(similarity_matrix(DrawMatrix(rows)),
-                                          brute)
+        # the draws are summed in chunks of at most TILE_CELLS indicator
+        # cells; one draw per chunk, several, or all at once, the counts
+        # are integers and the matrix must be exact.  The last posterior
+        # puts 4000 identical draws in one chunk: counts of 4000 in float32
+        same = np.tile(np.array(crp_row(rng, 20)), (4000, 1))
+        for rows, budgets in ((synthetic_draws(rng, 7, 300).draws,
+                               (1, 40, 2**30)),
+                              (same, (2**30,))):
+            brute = np.mean([row[:, None] == row[None, :] for row in rows],
+                            axis=0)
+            for cells in budgets:
+                monkeypatch.setattr(postclust.posterior, "TILE_CELLS", cells)
+                np.testing.assert_array_equal(
+                    similarity_matrix(DrawMatrix(rows)), brute)
+
+    def test_memory_stays_within_chunks(self):
+        # the indicators of all 2000 draws at once take some 11 MiB of
+        # float32; one chunk of TILE_CELLS takes 128 KiB
+        draws = spread_posterior(0, 200, 2000)
+        draws._ks
+        tracemalloc.start()
+        try:
+            draws.similarity
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (4, 4), (6, 6), (25,)])
     def test_must_be_n_by_n_for_the_candidate(self, shape):
@@ -227,6 +246,28 @@ class TestExpectedBinder:
         draws = DrawMatrix(np.array([[0, 0, 1]]))
         with pytest.raises(ValueError):
             expected_binder(one_cluster(4), similarity_matrix(draws))
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_equals_the_triu_indices_formula(self, rng, n):
+        # the cached pair mask picks in the order of triu_indices, so the
+        # sum, and every bit of the loss, is that of the formula
+        psm = similarity_matrix(synthetic_draws(rng, n, 30))
+        iu = np.triu_indices(n, 1)
+        for _ in range(20):
+            cand = canonicalize(rng.integers(0, 5, size=n).tolist())
+            labels = np.asarray(cand.labels)
+            p = psm[iu]
+            s = (labels[:, None] == labels[None, :])[iu]
+            formula = 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (n * n)
+            assert expected_binder(cand, psm) == formula
+
+    def test_cached_pair_mask_is_read_only(self):
+        upper = _upper_pairs(5)
+        assert np.flatnonzero(upper).tolist() == [1, 2, 3, 4, 7, 8, 9, 13,
+                                                  14, 19]
+        assert _upper_pairs(5) is upper
+        with pytest.raises(ValueError, match="read-only"):
+            upper[0] = 0
 
 
 class TestExpectedVi:
@@ -542,3 +583,24 @@ class TestMetricType:
         draws = DrawMatrix([[0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1]])
         with pytest.raises(ValueError, match="must be a Metric"):
             call(draws.row(0), draws, metric)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("n", [1, 9, 300])
+    def test_matches_np_unique(self, rng, n):
+        # 300 items: labels pass 255, so the keys are two bytes wide.  Two
+        # rows share labels 0-255 and then hold 256 and 7, which a
+        # little-endian key would sort by their low bytes 0 and 7
+        pool = np.array([crp_row(rng, n, alpha=n / 4) for _ in range(12)])
+        pool[1] = np.arange(n)
+        pool[2] = np.where(np.arange(n) < 256, np.arange(n), 7)
+        rows = _canonical_rows(pool[rng.integers(0, len(pool), size=90)])
+        for row in pool[1:3]:
+            assert (rows == row).all(axis=1).any()
+        members = rng.permutation(len(rows))[:50]
+        for sample in (rows, rows[members], rows[:1]):
+            first, counts = _unique_rows(sample)
+            _, want_first, want_counts = np.unique(
+                sample, axis=0, return_index=True, return_counts=True)
+            np.testing.assert_array_equal(first, want_first)
+            np.testing.assert_array_equal(counts, want_counts)
