@@ -212,7 +212,8 @@ def _cmd_sample(args, argv) -> int:
     except ValueError as exc:
         return _usage_error(re.sub(
             r"\w+", lambda m: SAMPLE_OPTIONS.get(m[0], m[0]), str(exc)))
-    data = Dataset(np.loadtxt(args.data, delimiter=",", ndmin=2))
+    with open(args.data, encoding="utf-8-sig") as fh:  # drops a BOM
+        data = Dataset(np.loadtxt(fh, delimiter=",", ndmin=2))
     config = dataclasses.replace(
         config,
         mu0=data.points.mean(axis=0) if mu0 is None else mu0,

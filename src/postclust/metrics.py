@@ -102,14 +102,16 @@ def _int_xlogx(v: int) -> float:
 class Neighbors:
     """The neighbours ``closest_neighbors`` returns, as arrays in its order.
 
-    Row t is one candidate: ``labels[t]`` its canonical labels, ``delta[t]``
-    its distance from the source and ``merge[t]`` its direction.  A merge
-    joins clusters ``pair[t] = (a, b)`` with a < b.  A split cuts cluster
-    ``pair[t, 0]`` in two; ``part[t]`` marks the piece that does not hold
-    the cluster's first item, and is all False for a merge.
+    Row t is one candidate: ``delta[t]`` its distance from the source and
+    ``merge[t]`` its direction.  A merge joins clusters ``pair[t] = (a, b)``
+    with a < b.  A split cuts cluster ``pair[t, 0]`` in two; ``part[t]``
+    marks the piece that does not hold the cluster's first item, and is
+    all False for a merge.  Only the source's labels are stored: ``rows(t)``
+    builds the canonical labels of candidates ``t`` from their moves, and
+    ``labels`` those of every candidate.
     """
 
-    labels: np.ndarray  # (C, N) int
+    source: np.ndarray  # (N,) int, the canonical labels moved from
     delta: np.ndarray  # (C,) float
     merge: np.ndarray  # (C,) bool
     pair: np.ndarray  # (C, 2) int; (cluster, -1) for a split
@@ -117,6 +119,22 @@ class Neighbors:
 
     def __len__(self) -> int:
         return self.delta.shape[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The (C, N) canonical labels of every candidate."""
+        return self.rows(np.arange(len(self)))
+
+    def rows(self, t: np.ndarray) -> np.ndarray:
+        """The canonical labels of the candidates at indices ``t``.  A split's
+        part gets label ``new``, 1 + the largest label before its first item:
+        the count of clusters that begin before it."""
+        labels, part = self.source, self.part[t]
+        a, b = self.pair[t, :1], self.pair[t, 1:]
+        merged = np.where(labels == b, a, labels) - (labels > b)
+        new = np.maximum.accumulate(labels)[part.argmax(axis=1) - 1, None] + 1
+        split = np.where(part, new, labels + (labels >= new))
+        return np.where(self.merge[t, None], merged, split)
 
 
 def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
@@ -215,7 +233,8 @@ def closest_neighbors(
     Each candidate also carries its move (the two merged clusters, or the
     split cluster and the piece cut off), so that the greedy search can
     score it by its loss change without building a ``Partition``.  No
-    candidate's labels are built to rank it.  A merge of (a, b) first
+    candidate's labels are built, to rank it or to return it: the result
+    builds them on request (``Neighbors.rows``).  A merge of (a, b) first
     changes the labels at b's first item, lowering it to a; a split first
     changes them at the first item f of its part, raising it.  So at equal
     distance merges precede splits, merges rank by (b, a), splits rank by
@@ -246,18 +265,12 @@ def closest_neighbors(
     rank = np.concatenate([np.arange(n_merge), np.arange(n_split)])
     order = np.lexsort((rank, ~merge, delta))
 
-    labels = np.asarray(c.labels)
-    ma, mb = a[m_pick, None], b[m_pick, None]
-    merged = np.where(labels == mb, ma, labels) - (labels > mb)
-    firsts = np.asarray([members[0] for members in c.clusters])
-    new = np.searchsorted(firsts, head[s_pick])[:, None]
-    split = np.where(part[s_pick], new, labels + (labels >= new))
     pair = np.concatenate([
         np.stack([a[m_pick], b[m_pick]], axis=1),
         np.stack([cluster[s_pick], np.full(n_split, -1)], axis=1),
     ])
     return Neighbors(
-        labels=np.concatenate([merged, split])[order],
+        source=np.asarray(c.labels),
         delta=delta[order],
         merge=merge[order],
         pair=pair[order],

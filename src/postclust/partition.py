@@ -15,36 +15,36 @@ import numpy as np
 
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
-    """Relabel every row of an integer array into first-occurrence form.
+    """Relabel every row of an integer array into first-occurrence form,
+    as a C-contiguous int32 array.
 
-    A stable sort of each row groups equal labels with their first
-    occurrence in front; an item's canonical label is the number of
-    first occurrences before the first occurrence of its own label.
-    Blocks of 64 rows keep the temporaries small.  A block whose labels
-    span fewer than 2^16 values is sorted by its labels less their minimum
-    as 16-bit keys, which numpy radix-sorts: a stable sort's permutation
-    depends only on the keys' order, so the result is the same.
+    A stable sort of each row, on flat positions ``order + row * N``,
+    groups equal labels with their first item in front; an item's label is
+    the in-row count of first items up to its group's.  Only which items
+    share a key matters, so a block of 64 rows whose labels span fewer
+    than 2^16 values sorts them modulo 2^16 as 16-bit keys, which numpy
+    radix-sorts.
     """
-    cols = np.arange(a.shape[1])
+    n = a.shape[1]
     out = np.empty(a.shape, dtype=np.int32)
-    for lo in range(0, a.shape[0], 64):
+    for lo in range(0, a.shape[0] if a.size else 0, 64):
         block = a[lo : lo + 64]
-        if block.size:
-            least = int(block.min())  # Python ints: no int64 overflow
-            if int(block.max()) - least < 2**16:
-                # modulo 2^16 the difference is exact, as it fits
-                block = block.astype(np.uint16) - np.uint16(least % 2**16)
+        if int(block.max()) - int(block.min()) < 2**16:  # no int64 overflow
+            block = block.astype(np.uint16)
         order = np.argsort(block, axis=1, kind="stable")
-        ranked = np.take_along_axis(block, order, axis=1)
-        starts = np.ones(block.shape, dtype=bool)
-        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        group_start = np.maximum.accumulate(np.where(starts, cols, 0), axis=1)
-        first = np.empty_like(order)  # first[r, i]: first item with i's label
-        np.put_along_axis(
-            first, order, np.take_along_axis(order, group_start, axis=1), axis=1
-        )
-        seen = np.cumsum(first == cols, axis=1, dtype=np.int32) - 1
-        out[lo : lo + 64] = np.take_along_axis(seen, first, axis=1)
+        order += np.arange(0, block.size, n)[:, None]
+        order = order.ravel()
+        ranked = block.ravel()[order]
+        starts = np.empty(order.shape, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+        starts[::n] = True  # each row's first key starts a group
+        heads = np.flatnonzero(starts)
+        firsts = order[heads]  # each group's first item
+        is_first = np.zeros(order.shape, dtype=bool)
+        is_first[firsts] = True
+        seen = np.cumsum(is_first.reshape(-1, n), axis=1, dtype=np.int32) - 1
+        labels = np.repeat(seen.ravel()[firsts], np.diff(heads, append=order.size))
+        out[lo : lo + 64].reshape(-1)[order] = labels
     return out
 
 

@@ -102,13 +102,13 @@ class DrawMatrix:
     def _rowcode(self) -> np.ndarray:
         """Per-item flat code cellptr[m] + label, unique per (draw, cluster).
 
-        Stored as int32 whenever code * (n + 1) cannot overflow, which makes
-        the per-candidate joint-count pass measurably faster.
+        Built in int32, the draws' type, whenever code * (n + 1) cannot
+        overflow, which makes the per-candidate joint-count pass measurably
+        faster, and in int64 otherwise.
         """
-        code = self._cellptr[:-1, None] + self.draws.astype(np.int64)
         if int(self._cellptr[-1]) * (self.n + 1) < np.iinfo(np.int32).max:
-            return code.astype(np.int32)
-        return code
+            return self.draws + self._cellptr[:-1, None].astype(np.int32)
+        return self._cellptr[:-1, None] + self.draws.astype(np.int64)
 
     def _joint_counts(self, candidate: "Partition") -> np.ndarray:
         """Contingency cell counts of every draw against ``candidate``,
@@ -150,15 +150,15 @@ def load_draws(source) -> DrawMatrix:
     """Read a draw file (a path or an open text stream) into a ``DrawMatrix``.
 
     Each row is one partition: its labels as comma-separated integers in
-    the int64 range, which need not be canonical.  Blank lines and lines
-    starting with '#' are skipped.  A ``ValueError`` names the first bad
-    data row N, counted from 1 without the skipped lines: "empty draw
-    file" if no row is left, "non-integer label in row N" if a label is
-    not an int64 integer, and "ragged row N" if row N holds a different
-    number of labels than row 1.
+    the int64 range, which need not be canonical.  One leading byte-order
+    mark, blank lines and lines starting with '#' are skipped.  A
+    ``ValueError`` names the first bad data row N, counted from 1 without
+    the skipped lines: "empty draw file" if no row is left, "non-integer
+    label in row N" if a label is not an int64 integer, and "ragged row N"
+    if row N holds a different number of labels than row 1.
     """
     text = (source.read() if hasattr(source, "read")
-            else Path(source).read_text(encoding="utf-8"))
+            else Path(source).read_text(encoding="utf-8")).removeprefix("\ufeff")
     rows = [row for row in map(str.strip, text.splitlines())
             if row and not row.startswith("#")]
     if not rows:

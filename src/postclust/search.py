@@ -233,7 +233,7 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
         deltas = _loss_deltas(current, moves, draws, config)
         shortlist = np.flatnonzero(deltas <= deltas.min() + CERTIFY_MARGIN)
         best_part, best_loss = _pick_best(
-            (Partition(tuple(moves.labels[t].tolist())) for t in shortlist),
+            (Partition(tuple(row)) for row in moves.rows(shortlist).tolist()),
             draws, config,
         )
         improved = best_loss < current_loss - IMPROVEMENT_TOL

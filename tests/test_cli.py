@@ -237,6 +237,47 @@ def test_partition_file_gives_its_first_row(tmp_path, capsys):
     assert float(capsys.readouterr().out) == 0.0
 
 
+def test_byte_order_mark_changes_no_result(tmp_path, capsys):
+    # every input file, read once as written and once behind a UTF-8 BOM:
+    # the sample data, the draws, the --init file, the ball's centre and
+    # the partitions of dist and pairclass
+    plain, marked = tmp_path / "plain", tmp_path / "bom"
+    plain.mkdir()
+    marked.mkdir()
+
+    def mark(name):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+
+    assert cli.main(["simulate", "example1", "--n", "12",
+                     "--out-data", str(plain / "data.csv"),
+                     "--out-labels", str(plain / "truth.txt")]) == 0
+    mark("data.csv")
+    for d in (plain, marked):
+        assert cli.main(["sample", str(d / "data.csv"), str(d / "draws.csv"),
+                         "--iterations", "30", "--burn-in", "5"]) == 0
+    assert (marked / "draws.csv").read_bytes() == (plain / "draws.csv").read_bytes()
+    mark("draws.csv")
+    mark("truth.txt")
+    for d in (plain, marked):
+        assert cli.main(["estimate", str(d / "draws.csv"), "--init",
+                         str(d / "truth.txt"), "--out", str(d / "est.json")]) == 0
+    (plain / "center.txt").write_text(
+        json.loads((plain / "est.json").read_text())["labels"])
+    mark("center.txt")
+    results = []
+    for d in (plain, marked):
+        draws, truth, center = (str(d / name) for name in
+                                ("draws.csv", "truth.txt", "center.txt"))
+        assert cli.main(["ball", draws, center,
+                         "--out", str(d / "ball.json")]) == 0
+        assert cli.main(["dist", center, truth]) == 0
+        assert cli.main(["pairclass", center, truth, str(d / "pc.csv")]) == 0
+        results.append([capsys.readouterr().out] + [
+            (d / name).read_bytes() for name in ("est.json", "ball.json", "pc.csv")
+        ])
+    assert results[0] == results[1]
+
+
 def pinned_draws(path):
     """80 draws resampled from 12 perturbations of clusters of 9, 8, 7 and
     6 items: repeated draws, and ties on every ball bound."""

@@ -20,6 +20,7 @@ from postclust import (
 
 from conftest import (
     all_partitions,
+    canonical_labels,
     distance_matrix,
     entropy,
     leq,
@@ -295,6 +296,36 @@ class TestClosestNeighbors:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             closest_neighbors(one_cluster(4), Metric.VI, l=0)
+
+    @pytest.mark.parametrize("l", [1, 3, 40])
+    def test_rows_build_the_moves(self, l):
+        # rows(t) is labels[t], and each row is the canonical form of its
+        # move: a merge's result covers the source, a split's is covered
+        rng = np.random.default_rng(11 + l)
+        sources = [sized((1, 12, 3, 9)), singletons(1), one_cluster(6)]
+        sources += [canonicalize(rng.integers(0, 5, 25).tolist())
+                    for _ in range(6)]
+        for c in sources:
+            for metric in BOTH:
+                moves = closest_neighbors(c, metric, l, rng_seed=5)
+                labels = moves.labels
+                assert labels.shape == (len(moves), c.n_items)
+                subsets = [np.arange(0)]
+                if len(moves):
+                    subsets += [rng.integers(0, len(moves), size=size)
+                                for size in (1, 7, len(moves))]
+                for t in subsets:
+                    np.testing.assert_array_equal(moves.rows(t), labels[t])
+                for t, row in enumerate(labels.tolist()):
+                    a, b = moves.pair[t].tolist()
+                    if moves.merge[t]:
+                        moved = [a if lab == b else lab for lab in c.labels]
+                    else:
+                        moved = [c.k if cut else lab for lab, cut
+                                 in zip(c.labels, moves.part[t].tolist())]
+                    assert tuple(row) == canonical_labels(moved)
+                    cand = Partition(tuple(row))
+                    assert leq(c, cand) if moves.merge[t] else leq(cand, c)
 
     def test_matches_reference_loop(self, monkeypatch):
         # same candidates, order and delta bits as a plain loop that builds

@@ -123,15 +123,69 @@ class TestLoadDraws:
             rng.integers(2**64 - 9, 2**64 - 1, size=(3, 30), dtype=np.uint64,
                          endpoint=True),
         ]
-        mixed = rng.integers(0, 2**16 - 1, size=(130, 20), dtype=np.int64)
-        mixed[:, 0] = [0, 2**16 - 1] * 65  # range 2^16 - 1: every block narrow
-        cases.append(mixed)
-        wide = mixed.copy()
-        wide[64, :2] = 2**16, 0  # range 2^16: 16-bit keys would collide
-        cases.append(wide)
+        for rows in (130, 65, 128, 129):
+            mixed = rng.integers(0, 2**16 - 1, size=(rows, 20), dtype=np.int64)
+            # range 2^16 - 1: every block narrow
+            mixed[:, 0] = np.arange(rows) % 2 * (2**16 - 1)
+            cases.append(mixed)
+            wide = mixed.copy()
+            wide[64, :2] = 2**16, 0  # range 2^16: 16-bit keys would collide
+            cases.append(wide)
         for a in cases:
             expect = [list(canonical_labels(row)) for row in a.tolist()]
-            assert _canonical_rows(a).tolist() == expect
+            out = _canonical_rows(a)
+            assert out.dtype == np.int32 and out.flags.c_contiguous
+            assert out.tolist() == expect
+
+    @pytest.mark.parametrize("rows", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+    def test_block_seams(self, rng, rows, dtype):
+        # 64-row blocks: a row count on either side of one or two seams,
+        # small label ranges so that keys repeat across row ends, and
+        # uint64 labels above 2^63
+        info = np.iinfo(dtype)
+        low = max(info.min, 2**63) if dtype == np.uint64 else info.min
+        for span in (3, 100):
+            for start in (low, info.max - span + 1):
+                a = rng.integers(start, start + span, size=(rows, 17),
+                                 dtype=dtype)
+                out = _canonical_rows(a)
+                assert out.dtype == np.int32 and out.flags.c_contiguous
+                expect = [list(canonical_labels(row)) for row in a.tolist()]
+                assert out.tolist() == expect
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = "# chain\n5,5,9\n9,5,5\n"
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + plain.replace("\n", "\r\n").encode())
+        for source in (f, io.StringIO("\ufeff" + plain)):
+            assert load_draws(source).draws.tolist() == [[0, 0, 1], [0, 1, 1]]
+        # one mark only, and only at the start of the text
+        for text in ("\ufeff\ufeff0,0\n", "0,0\n\ufeff0,1\n"):
+            with pytest.raises(ValueError, match="non-integer label"):
+                load_draws(io.StringIO(text))
+
+
+class TestRowCode:
+    @pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
+    def test_dtype_at_the_int32_bound(self, n, dtype):
+        # one draw of n singletons: n cells, so the bound is n * (n + 1)
+        draws = DrawMatrix(np.arange(n)[None, :])
+        assert (int(draws._cellptr[-1]) * (n + 1) < 2**31 - 1) == (dtype == np.int32)
+        assert draws._rowcode.dtype == dtype
+        np.testing.assert_array_equal(draws._rowcode, np.arange(n)[None, :])
+        center = one_cluster(n)
+        assert draw_distances(center, draws, Metric.VI)[0] == pytest.approx(
+            math.log2(n), abs=TOL)
+        assert draw_distances(center, draws, Metric.BINDER)[0] == pytest.approx(
+            1 - 1 / n, abs=TOL)
+
+    def test_equals_int64_codes(self, rng):
+        for m, n in ((1, 1), (5, 9), (70, 40)):
+            draws = synthetic_draws(rng, n, m)
+            expect = draws._cellptr[:-1, None] + draws.draws.astype(np.int64)
+            assert draws._rowcode.dtype == np.int32
+            np.testing.assert_array_equal(draws._rowcode, expect)
 
 
 class TestSimilarityMatrix:
