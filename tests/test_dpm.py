@@ -182,6 +182,41 @@ class TestChainPin2D:
         )
 
 
+class TestChainPin3D:
+    """Sha256 of a 30-sweep chain on three seeded Gaussian blobs in D=3
+    (N=45, gamma prior): two dimensions are summed before the last one."""
+
+    def test_chain_is_pinned(self):
+        rng = np.random.default_rng(5)
+        centres = np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 1.0],
+                            [-2.0, 3.0, -3.0]])
+        pts = centres[rng.integers(0, 3, 45)] + rng.normal(size=(45, 3))
+        config = SamplerConfig(
+            mu0=pts.mean(axis=0), c=0.5, a=2.0,
+            b=pts.var(axis=0, ddof=1), iterations=30, seed=4,
+        )
+        assert _chain_sha(config, Dataset(pts)) == (
+            "d3098c0965749d4f3a1bd6037c8416aa8119662a4730efed8d443df112513c49"
+        )
+
+
+class TestChainPinLargeK:
+    """Sha256 of a 15-sweep chain at mean k about 33 (example2, N=200,
+    fixed alpha 80, b a twentieth of the variance): clusters open and empty
+    every sweep, so the relabel and the empty-seat copy both run often."""
+
+    def test_chain_is_pinned(self):
+        data = simulate_example("example2", 200, seed=0)[0]
+        config = SamplerConfig(
+            mu0=data.points.mean(axis=0), c=0.5, a=2.0,
+            b=data.points.var(axis=0, ddof=1) / 20, alpha0=80.0,
+            alpha_prior=None, iterations=15, seed=2,
+        )
+        assert _chain_sha(config, data) == (
+            "60854e19d040d9682f002a82c3554cfd306c501a322366c2e0ed3bcad8861dd8"
+        )
+
+
 class TestTrace:
     def test_log_joint_matches_a_fresh_evaluation(self):
         data = load_galaxy()
