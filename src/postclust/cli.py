@@ -212,6 +212,11 @@ def _cmd_sample(args, argv) -> int:
     except ValueError as exc:
         return _usage_error(re.sub(
             r"\w+", lambda m: SAMPLE_OPTIONS.get(m[0], m[0]), str(exc)))
+    for path in filter(None, (args.out, args.trace)):  # fail before sampling
+        existed = os.path.exists(path)
+        open(path, "a").close()  # raises if the path cannot be written
+        if not existed:
+            os.remove(path)
     with open(args.data, encoding="utf-8-sig") as fh:  # drops a BOM
         data = Dataset(np.loadtxt(fh, delimiter=",", ndmin=2))
     config = dataclasses.replace(
@@ -352,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy's own message names no option
+        return _usage_error(f"--seed ({args.seed}) must be >= 0")
     try:
         return args.func(args, argv)
     except (ValueError, OSError) as exc:

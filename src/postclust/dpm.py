@@ -15,7 +15,8 @@ Clusters keep sums s1, s2 of the data centred at mu0, so the posterior
 rate is ``b + s2/2 - s1**2 / (2 (c + n))``.  The state is held in Python
 floats: at a handful of clusters numpy's fixed cost per call outweighs its
 arithmetic.  Each reassignment rescores the cluster the item left, then
-scores every seat with the item added in one pass per dimension.
+scores every seat with the item added in one pass per dimension, the last
+pass fused with the seat weights.
 
 One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
 consumed by the summary tools.
@@ -119,13 +120,12 @@ class _Model:
         self.a_n = (a + counts / 2.0).tolist()
         self.g = (0.5 / (c + counts)).tolist()
 
-    def log_marginal(self, n: int, sums) -> float:
-        """Log marginal likelihood of a slot of ``n`` items; ``sums`` yields,
-        per dimension, its sum s1 of points minus mu0 and its ``b + s2/2``,
-        with s2 the sum of their squares."""
+    def log_marginal(self, n: int, sums, s: int = 0) -> float:
+        """Log marginal likelihood of slot ``s``, of ``n`` items; ``sums``
+        yields per dimension the slots' sums s1 and their ``b + s2/2``."""
         g, t = self.g[n - 1], 0.0
         for s1, h in sums:
-            t += math.log(h - s1 * s1 * g)
+            t += math.log(h[s] - s1[s] * s1[s] * g)
         return self.prefactor[n - 1] - self.a_n[n - 1] * t
 
     def item_stats(self, points: np.ndarray) -> list:
@@ -143,7 +143,7 @@ def log_marginal(cluster_points, config: SamplerConfig) -> float:
         raise ValueError("empty cluster")
     model = _Model(config, pts.shape[1], pts.shape[0])
     s1, half_s2 = np.sum(model.item_stats(pts), axis=0).T
-    sums = zip(s1.tolist(), (half_s2 + model.b).tolist())
+    sums = zip(s1[:, None].tolist(), (half_s2 + model.b)[:, None].tolist())
     return model.log_marginal(pts.shape[0], sums)
 
 
@@ -169,18 +169,22 @@ class _GibbsState:
     Slots 0..k-1 are the clusters and slot k is the empty seat.  Per slot
     the state keeps the count and the cached log marginal (0 at the empty
     seat); per dimension, a list of the slots' sums s1 and a list of their
-    ``b + s2/2``.  :meth:`remove` rescores the slot an item leaves, or
-    moves the last cluster into it once it is empty; ``columns`` lists
-    every per-slot list.
+    ``b + s2/2``.  ``columns`` lists every per-slot list.  These lists are
+    only ever changed in place, so each item holds its moves as one tuple
+    per dimension, ``(s1, h, x1, xh)``: the dimension's two slot lists and
+    the item's own two terms.
     """
 
     def __init__(self, data: Dataset, model: _Model):
         self.model = model
-        self.z = model.item_stats(data.points)
         self.labels = [-1] * data.n
         self.counts, self.logm = [0], [0.0]
-        self.sums = [([0.0], [b]) for b in model.b.tolist()]
-        self.columns = (self.counts, self.logm, *itertools.chain(*self.sums))
+        self.sums = sums = [([0.0], [b]) for b in model.b.tolist()]
+        self.columns = (self.counts, self.logm, *itertools.chain(*sums))
+        self.moves = [
+            tuple((s1, h, x1, xh) for (s1, h), (x1, xh) in zip(sums, z))
+            for z in model.item_stats(data.points)
+        ]
         # CRP weights by cluster size: log n, with log alpha at size 0.
         self.log_crp = np.log(np.maximum(np.arange(data.n + 1), 1.0)).tolist()
 
@@ -191,53 +195,57 @@ class _GibbsState:
     def set_alpha(self, alpha: float):
         self.log_crp[0] = math.log(alpha)
 
-    def remove(self, i: int):
-        s, counts = self.labels[i], self.counts
-        counts[s] -= 1
-        for (s1, h), (x1, xh) in zip(self.sums, self.z[i]):
-            s1[s] -= x1
-            h[s] -= xh
-        if counts[s]:
-            sums = [(s1[s], h[s]) for s1, h in self.sums]
-            self.logm[s] = self.model.log_marginal(counts[s], sums)
-        else:
-            last = self.k - 1
-            for column in self.columns:
-                column[s] = column[last]
-                del column[last]
-            if s != last:
-                self.labels = [s if j == last else j for j in self.labels]
-        self.labels[i] = -1
-
-    def assign(self, i: int, u: float):
-        """Seat item i given the others, using the uniform draw u."""
-        counts, z, model = self.counts, self.z[i], self.model
-        # Each seat's log rate with item i added, summed over dimensions.
-        g, log, t = model.g, math.log, [0.0] * len(counts)
-        for (s1, h), (x1, xh) in zip(self.sums, z):
-            t = [
-                p + log((hj + xh) - (sj + x1) * (sj + x1) * g[c])
-                for p, sj, hj, c in zip(t, s1, h, counts)
+    def sweep(self, us: list):
+        """Reseat the items in order, item i by the uniform draw ``us[i]``;
+        an item at label -1 has no seat to leave."""
+        counts, labels, logm = self.counts, self.labels, self.logm
+        model, crp, log, exp = self.model, self.log_crp, math.log, math.exp
+        g, pre, a_n = model.g, model.prefactor, model.a_n
+        for i, (moves, u) in enumerate(zip(self.moves, us)):
+            s = labels[i]
+            if s >= 0:  # rescore the slot left, or move the last cluster into it
+                counts[s] -= 1
+                for s1, h, x1, xh in moves:
+                    s1[s] -= x1
+                    h[s] -= xh
+                if counts[s]:
+                    logm[s] = model.log_marginal(counts[s], self.sums, s)
+                else:
+                    last = len(counts) - 2
+                    for column in self.columns:
+                        column[s] = column[last]
+                        del column[last]
+                    if s != last:
+                        labels[:] = [s if j == last else j for j in labels]
+            # Each seat's log rate with item i added, bar the last dimension's.
+            t = [0.0] * len(counts)
+            for s1, h, x1, xh in moves[:-1]:
+                t = [
+                    p + log((hj + xh) - (sj + x1) * (sj + x1) * g[c])
+                    for p, sj, hj, c in zip(t, s1, h, counts)
+                ]
+            s1, h, x1, xh = moves[-1]
+            logw = [
+                pre[c]
+                - a_n[c] * (p + log((hj + xh) - (sj + x1) * (sj + x1) * g[c]))
+                - old + crp[c]
+                for c, p, sj, hj, old in zip(counts, t, s1, h, logm)
             ]
-        pre, a_n, crp = model.prefactor, model.a_n, self.log_crp
-        logw = [
-            pre[c] - a_n[c] * tj - old + crp[c]
-            for c, tj, old in zip(counts, t, self.logm)
-        ]
-        top = max(logw)
-        cum = list(itertools.accumulate([math.exp(w - top) for w in logw]))
-        choice = bisect.bisect_left(cum, u * cum[-1])
-        if choice == len(counts) - 1:
-            # Item i opens a cluster: a copy of the empty seat follows it.
-            for column in self.columns:
-                column.append(column[choice])
-        self.labels[i] = choice
-        n = counts[choice]
-        self.logm[choice] = pre[n] - a_n[n] * t[choice]
-        counts[choice] += 1
-        for (s1, h), (x1, xh) in zip(self.sums, z):
-            s1[choice] += x1
-            h[choice] += xh
+            top, total = max(logw), 0.0
+            cum = [total := total + exp(w - top) for w in logw]
+            choice = bisect.bisect_left(cum, u * total)
+            if choice == len(counts) - 1:
+                # Item i opens a cluster: a copy of the empty seat follows it.
+                for column in self.columns:
+                    column.append(column[choice])
+            labels[i] = choice
+            n, t = counts[choice], 0.0  # the seat's log marginal, summed as in logw
+            counts[choice] = n + 1
+            for s1, h, x1, xh in moves:
+                sc = s1[choice] = s1[choice] + x1
+                hc = h[choice] = h[choice] + xh
+                t += log(hc - sc * sc * g[n])
+            logm[choice] = pre[n] - a_n[n] * t
 
 
 def _update_alpha(
@@ -273,17 +281,12 @@ def gibbs_run(
     state = _GibbsState(data, model)
     alpha = float(config.alpha0)
     state.set_alpha(alpha)
-    for i, u in enumerate(rng.random(data.n).tolist()):
-        state.assign(i, u)
+    state.sweep(rng.random(data.n).tolist())
     kept = np.empty((config.iterations - config.burn_in, data.n), np.int32)
     for sweep in range(config.iterations):
-        for i, u in enumerate(rng.random(data.n).tolist()):
-            state.remove(i)
-            state.assign(i, u)
+        state.sweep(rng.random(data.n).tolist())
         if config.alpha_prior is not None:
-            alpha = _update_alpha(
-                alpha, state.k, data.n, config.alpha_prior, rng
-            )
+            alpha = _update_alpha(alpha, state.k, data.n, config.alpha_prior, rng)
             state.set_alpha(alpha)
         if trace is not None:
             prior = _crp_log_prior(state.counts[:-1], alpha)

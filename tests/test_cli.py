@@ -154,6 +154,9 @@ def test_bad_sampler_option_is_named(tmp_path, capsys, option, value):
      "--burn-in", "-1"],
     *(["sample", "{missing}", "{missing}.out", option, value]
       for option, value in SAMPLER_ERRORS),
+    ["sample", "{missing}", "{missing}.out", "--seed", "-1"],
+    ["simulate", "example1", "--seed", "-1",
+     "--out-data", "{missing}", "--out-labels", "{missing}.txt"],
 ])
 def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     missing = tmp_path / "missing.csv"
@@ -161,6 +164,25 @@ def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     assert code == 2
     assert "error: --" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("outputs", [
+    ["{tmp}/nodir/d.csv"],
+    ["{tmp}/d.csv", "--trace", "{tmp}/nodir/trace.csv"],
+], ids=["draws", "trace"])
+def test_unwritable_output_is_found_before_sampling(tmp_path, capsys,
+                                                   monkeypatch, outputs):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(cli, "gibbs_run", no_sampling)
+    data = tmp_path / "data.csv"
+    data.write_text("1.0\n2.5\n3.0\n4.0\n")
+    code = cli.main(["sample", str(data), "--iterations", "2000",
+                     *(arg.format(tmp=tmp_path) for arg in outputs)])
+    assert code == 3
+    assert "nodir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_file_outputs_hold_what_they_promise(tmp_path):
