@@ -47,6 +47,7 @@ SAMPLE_OPTIONS = {"mu0": "--mu0", "c": "--c", "a": "--a", "b": "--b",
                   "alpha0": "--alpha0",
                   "alpha_prior": "--alpha-shape/--alpha-rate",
                   "burn_in": "--burn-in", "iterations": "--iterations"}
+SEARCH_OPTIONS = {"l": "--l", "max_iters": "--max-iters"}
 
 
 def _read_partition(spec: str) -> Partition:
@@ -58,7 +59,9 @@ def _read_partition(spec: str) -> Partition:
         raise ValueError(f"partition {spec!r}: {exc}") from None
 
 
-def _usage_error(message) -> int:
+def _usage_error(message, options=None) -> int:
+    if options:  # config field names, spelled as the options that set them
+        message = re.sub(r"\w+", lambda m: options.get(m[0], m[0]), str(message))
     print(f"error: {message}", file=sys.stderr)
     return 2
 
@@ -113,19 +116,19 @@ def _cmd_psm(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    init = args.init
-    if init not in ("best", "last"):
-        init = _read_partition(init)
+    start = args.init in ("best", "last")
     try:  # the command line alone decides these: a usage error
         config = SearchConfig(
             metric=METRICS[args.metric],
             estimator=ESTIMATORS[args.estimator],
             l=args.l,
             max_iters=args.max_iters,
-            init=init,
+            init=args.init if start else "best",  # placeholder until read
         )
     except ValueError as exc:
-        return _usage_error(exc)
+        return _usage_error(exc, SEARCH_OPTIONS)
+    if not start:
+        config = dataclasses.replace(config, init=_read_partition(args.init))
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
     result = greedy_search(draws, config)
@@ -142,8 +145,7 @@ def _cmd_estimate(args, argv) -> int:
     }
     if args.trajectory:
         _write_trajectory(args.trajectory, result)
-    inputs = ([args.draws] if args.init in ("best", "last")
-              else [args.draws, args.init])
+    inputs = [args.draws] if start else [args.draws, args.init]
     _write_result(payload, args, argv, inputs,
                   [args.trajectory] if args.trajectory else [])
     return 0
@@ -210,8 +212,7 @@ def _cmd_sample(args, argv) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        return _usage_error(re.sub(
-            r"\w+", lambda m: SAMPLE_OPTIONS.get(m[0], m[0]), str(exc)))
+        return _usage_error(exc, SAMPLE_OPTIONS)
     for path in filter(None, (args.out, args.trace)):  # fail before sampling
         existed = os.path.exists(path)
         open(path, "a").close()  # raises if the path cannot be written

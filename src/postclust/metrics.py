@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SPLIT_LIMIT = 8  # clusters up to this size have every split listed
-BALANCED_SAMPLES = 5  # random splits of a larger cluster per coarser size
 
 
 class Metric(enum.Enum):
@@ -148,33 +147,17 @@ def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
     return table[inverse.ravel()]
 
 
-def _split_parts(
-    c: Partition, metric: Metric, l: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every generated split that can rank among the ``l`` closest, as
-    (split cluster, delta, part mask).
-
-    The exhaustive splits and the peel-offs are all distinct; the l-th
-    smallest of their deltas is the bar.  Random splits come in groups of
-    ``BALANCED_SAMPLES`` draws, one group per large cluster and coarser
-    size m, whose delta is fixed by the sizes alone.  A group above the bar
-    has l distinct splits strictly ahead of it and can never rank, so the
-    draws stop after the last group at or below the bar.  The groups before
-    it are drawn in the order the seed fixes, whatever their delta.  The
-    mask marks the piece without the cluster's first item, so two draws of
-    one split get one mask.
+def _split_parts(c: Partition,
+                 metric: Metric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every covered partition ``closest_neighbors`` ranks, as (split
+    cluster, delta, part mask): each binary split of a cluster of up to
+    ``EXHAUSTIVE_SPLIT_LIMIT`` items and each single-item peel-off of a
+    larger one.  No two are the same partition.  The mask marks the piece
+    without the cluster's first item.
     """
-    n, sizes = c.n_items, np.asarray(c.sizes)
-    clusters, counts = [np.empty(0, dtype=np.int64)], []
+    n = c.n_items
+    clusters, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     blocks = [np.zeros((0, n), dtype=bool)]
-    groups = []  # (cluster, m) of each group of random splits, in draw order
-
-    def add(label, moved):
-        block = np.zeros((moved.shape[0], n), dtype=bool)
-        block[:, c.clusters[label]] = moved ^ moved[:, :1]
-        blocks.append(block)
-        clusters.append(np.full(moved.shape[0], label))
-
     for label, size in enumerate(c.sizes):
         if size < 2:
             continue
@@ -187,48 +170,30 @@ def _split_parts(
             moved[:, 1:] = (masks >> np.arange(size - 1)) & 1 == 0
         else:
             moved = np.eye(size, dtype=bool)  # every single-item peel-off
-            groups += [(label, m) for m in range(2, size // 2 + 1)]
-        add(label, moved)
+        block = np.zeros((moved.shape[0], n), dtype=bool)
+        block[:, c.clusters[label]] = moved ^ moved[:, :1]
+        blocks.append(block)
+        clusters.append(np.full(moved.shape[0], label))
         # m, the count of items moved to the new cluster, sets the
         # argument order of the split's delta
         counts.append(moved.sum(axis=1))
-
-    # One delta per fixed split and per group, the bar from the former.
-    cluster = np.concatenate(clusters)
-    g_cluster, g_moved = np.array(groups, dtype=np.int64).reshape(-1, 2).T
-    first = np.concatenate(counts + [g_moved])
-    second = sizes[np.concatenate([cluster, g_cluster])] - first
-    fixed, by_group = np.split(_pair_deltas(first, second, n, metric),
-                               [cluster.shape[0]])
-    bar = np.partition(fixed, l - 1)[l - 1] if fixed.shape[0] >= l else np.inf
-    reach = np.flatnonzero(by_group <= bar)
-    drawn = reach[-1] + 1 if reach.shape[0] else 0
-    for label, m in groups[:drawn]:
-        moved = np.zeros((BALANCED_SAMPLES, c.sizes[label]), dtype=bool)
-        for row in moved:
-            row[rng.choice(c.sizes[label], size=m, replace=False)] = True
-        add(label, moved)
-    delta = np.concatenate([fixed, np.repeat(by_group[:drawn], BALANCED_SAMPLES)])
-    return np.concatenate(clusters), delta, np.concatenate(blocks)
+    cluster, first = np.concatenate(clusters), np.concatenate(counts)
+    second = np.asarray(c.sizes)[cluster] - first
+    return cluster, _pair_deltas(first, second, n, metric), np.concatenate(blocks)
 
 
-def closest_neighbors(
-    c: Partition, metric: Metric, l: int, rng_seed: int = 0
-) -> Neighbors:
+def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
     """Generate up to ``l`` nearest covering partitions (merges) and up to
     ``l`` nearest covered partitions (splits) of ``c``.
 
     Merges are enumerated completely (k(k-1)/2 of them) and ranked by their
     exact distance.  Splits of clusters up to ``EXHAUSTIVE_SPLIT_LIMIT``
-    items are enumerated completely; larger clusters contribute all
-    single-item peel-offs plus ``BALANCED_SAMPLES`` random splits, drawn
-    from ``rng_seed``, per coarser size profile, since peel-offs are
-    provably the locally closest splits while the random coarser ones widen
-    the search.  A random split's distance depends only on its sizes, so
-    the draws stop once no further one could rank among the ``l`` closest
-    splits; the output is that of drawing them all.  Ties are broken by
-    the candidate's canonical label sequence, so identical inputs always
-    give identical output.
+    items are enumerated completely; larger clusters contribute their
+    single-item peel-offs, the closest splits of a cluster under either
+    metric.  The candidates are distinct partitions, ranked by their exact
+    distance with ties broken by their canonical label sequences, so the
+    output depends on ``c``, ``metric`` and ``l`` alone: nothing is drawn
+    at random.
 
     Each candidate also carries its move (the two merged clusters, or the
     split cluster and the piece cut off), so that the greedy search can
@@ -247,15 +212,11 @@ def closest_neighbors(
     m_delta = _pair_deltas(sizes[a], sizes[b], n, metric)
     m_pick = np.lexsort((a, b, m_delta))[:l]
 
-    cluster, s_delta, part = _split_parts(
-        c, metric, l, np.random.default_rng(rng_seed)
-    )
-    # Each mask as one byte string: numpy orders and dedups those bytewise,
-    # which for packed bits is the lexicographic order of the masks.
+    cluster, s_delta, part = _split_parts(c, metric)
+    # Each mask as one byte string: numpy orders those bytewise, which for
+    # packed bits is the lexicographic order of the masks.
     keys = np.packbits(part, axis=1)
     keys = keys.view(f"S{keys.shape[1]}").ravel()
-    _, keep = np.unique(keys, return_index=True)
-    cluster, s_delta, part, keys = cluster[keep], s_delta[keep], part[keep], keys[keep]
     head = part.argmax(axis=1)
     s_pick = np.lexsort((keys, -head, s_delta))[:l]
 

@@ -3,12 +3,13 @@
 Starting from an initial partition, each iteration generates the nearest
 covering partitions (cluster merges) and nearest covered partitions
 (cluster splits), and moves to the candidate with the smallest posterior
-expected loss if it strictly improves on the current value.  Random
-splits of large clusters are drawn only as far as one can still rank
-among the nearest (see ``closest_neighbors``).  The walk stops at the
-first iteration with no strict improvement, or after ``max_iters``
-iterations.  Because the loss strictly decreases along the trajectory,
-no partition can repeat and termination is guaranteed.
+expected loss if it strictly improves on the current value.  The
+candidates are the closest merges and splits ``closest_neighbors`` lists,
+and nothing is drawn at random, so the trajectory depends only on the
+draws, the start and the config.  The walk stops at the first iteration
+with no strict improvement, or after ``max_iters`` iterations.  Because
+the loss strictly decreases along the trajectory, no partition can repeat
+and termination is guaranteed.
 
 Candidates are not built as partitions and scored one by one.  A move is
 an edge of the lattice between two pieces X and Y: a merge of clusters a
@@ -70,9 +71,9 @@ class SearchConfig:
     def __post_init__(self):
         _check_estimator(self.metric, self.estimator)
         if self.l is not None and self.l < 1:
-            raise ValueError("candidate budget l must be >= 1")
+            raise ValueError(f"l ({self.l}) must be >= 1")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError(f"max_iters ({self.max_iters}) must be >= 1")
         if not (isinstance(self.init, Partition)
                 or isinstance(self.init, str) and self.init in ("best", "last")):
             raise ValueError("init must be 'best', 'last', or a Partition")
@@ -214,19 +215,17 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
     """Locate a posterior expected-loss minimizer by greedy lattice moves.
 
     Returns the final partition, its estimated loss, the number of accepted
-    moves, the full descent trajectory and per-iteration stats.  Identical
-    inputs give bit-identical results: iteration t samples split candidates
-    with seed t.
+    moves, the full descent trajectory and per-iteration stats.  The search
+    draws no random numbers: identical inputs give bit-identical results.
     """
     current, current_loss = _initial(draws, config)
     trajectory = [(current, current_loss)]
     stats = []
-    for iteration in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         budget = config.l
         if budget is None:
             budget = min(2 * current.k * current.k, 200)
-        moves = closest_neighbors(current, config.metric, budget,
-                                  rng_seed=iteration)
+        moves = closest_neighbors(current, config.metric, budget)
         if not len(moves):
             stats.append(IterationStats(0, 0, None))
             break

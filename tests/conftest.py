@@ -170,8 +170,6 @@ def reference_neighbors(
     c: Partition,
     metric: Metric,
     l: int,
-    rng_seed: int = 0,
-    balanced_samples: int = 5,
     exhaustive_limit: int = 8,
 ) -> list[tuple[tuple[int, ...], str, float]]:
     """``closest_neighbors`` written as a plain loop over label lists:
@@ -183,7 +181,6 @@ def reference_neighbors(
             merged = canonicalize([i if lab == j else lab for lab in c.labels])
             delta = merge_delta((c.sizes[i], c.sizes[j]), c.n_items, metric)
             merges.append((merged.labels, "merge-up", delta))
-    rng = np.random.default_rng(rng_seed)
     splits: dict[tuple[int, ...], tuple] = {}
 
     def add(members, chosen):
@@ -208,10 +205,6 @@ def reference_neighbors(
         else:
             for idx in members:
                 add(members, (idx,))
-            for m in range(2, size // 2 + 1):
-                for _ in range(balanced_samples):
-                    chosen = rng.choice(size, size=m, replace=False)
-                    add(members, [members[t] for t in chosen])
     merges = sorted(merges, key=key)[:l]
     return sorted(merges + sorted(splits.values(), key=key)[:l], key=key)
 

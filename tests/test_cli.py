@@ -157,6 +157,9 @@ def test_bad_sampler_option_is_named(tmp_path, capsys, option, value):
     ["sample", "{missing}", "{missing}.out", "--seed", "-1"],
     ["simulate", "example1", "--seed", "-1",
      "--out-data", "{missing}", "--out-labels", "{missing}.txt"],
+    # a bad --init is not read when the command line is already wrong
+    ["estimate", "{missing}", "--max-iters", "0", "--init", "{missing}"],
+    ["estimate", "{missing}", "--l", "0", "--init", "0,x,1"],
 ])
 def test_bad_option_is_checked_before_any_file(tmp_path, capsys, argv):
     missing = tmp_path / "missing.csv"

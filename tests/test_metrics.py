@@ -48,24 +48,6 @@ def sized(sizes, seed=0):
     return Partition(tuple(range(len(sizes))) + tuple(rest.tolist()))
 
 
-@pytest.fixture
-def choices(monkeypatch):
-    """(cluster size, m) of every ``choice`` call on the generators that
-    ``postclust.metrics`` makes, in call order."""
-    calls, make = [], np.random.default_rng
-
-    class Counted:
-        def __init__(self, seed):
-            self.rng = make(seed)
-
-        def choice(self, a, **kwargs):
-            calls.append((a, kwargs["size"]))
-            return self.rng.choice(a, **kwargs)
-
-    monkeypatch.setattr(postclust.metrics.np.random, "default_rng", Counted)
-    return calls
-
-
 # entropy, mutual_information and rand_index are the conftest references
 # against which vi and binder are checked; these tests pin them.
 
@@ -284,8 +266,8 @@ class TestClosestNeighbors:
 
     def test_deterministic_output(self):
         c = canonicalize(list(range(3)) + [3] * 12)  # one big cluster
-        a = closest_neighbors(c, Metric.VI, l=30, rng_seed=9)
-        b = closest_neighbors(c, Metric.VI, l=30, rng_seed=9)
+        a = closest_neighbors(c, Metric.VI, l=30)
+        b = closest_neighbors(c, Metric.VI, l=30)
         for field in ("labels", "delta", "merge", "pair", "part"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
@@ -307,7 +289,7 @@ class TestClosestNeighbors:
                     for _ in range(6)]
         for c in sources:
             for metric in BOTH:
-                moves = closest_neighbors(c, metric, l, rng_seed=5)
+                moves = closest_neighbors(c, metric, l)
                 labels = moves.labels
                 assert labels.shape == (len(moves), c.n_items)
                 subsets = [np.arange(0)]
@@ -329,62 +311,17 @@ class TestClosestNeighbors:
 
     def test_matches_reference_loop(self, monkeypatch):
         # same candidates, order and delta bits as a plain loop that builds
-        # and canonicalizes every label list, random splits included
+        # and canonicalizes every label list, deduplicating them
         rng = np.random.default_rng(7)
         for _ in range(150):
             n = int(rng.integers(1, 30))
             c = canonicalize(rng.integers(0, int(rng.integers(1, 7)), n).tolist())
             l = int(rng.integers(1, 40))
-            seed, samples = int(rng.integers(0, 999)), int(rng.integers(1, 6))
             limit = int(rng.integers(1, 9))
-            monkeypatch.setattr(postclust.metrics, "BALANCED_SAMPLES", samples)
             monkeypatch.setattr(postclust.metrics, "EXHAUSTIVE_SPLIT_LIMIT", limit)
             for metric in BOTH:
-                got = neighbor_list(closest_neighbors(c, metric, l, seed))
-                assert got == reference_neighbors(c, metric, l, seed, samples, limit)
-
-    @pytest.mark.parametrize("sizes, l, groups", [
-        # the draws needed end in a middle cluster; the last is never drawn
-        ((9, 10, 24), 25, [(9, 2), (9, 3), (9, 4), (10, 2), (10, 3)]),
-        # they end in the last cluster; every group before it is drawn,
-        # though none of cluster 0's can rank
-        ((20, 9), 25, [(20, m) for m in range(2, 11)] + [(9, 2), (9, 3)]),
-        # the bar is the peel-off of 15, 2 * 14, which (9, 2) ties: 2 * 2 * 7
-        ((9, 15, 3), 20, [(9, 2)]),
-    ])
-    def test_bar_gives_what_drawing_every_split_gives(self, choices, sizes,
-                                                       l, groups):
-        c = sized(sizes)
-        closest_neighbors(c, Metric.BINDER, l, rng_seed=3)
-        assert choices == [g for g in groups for _ in range(5)]
-        # on both sides of every bar, for both metrics, the output is that
-        # of a loop that draws every random split
-        fixed = sum(s if s > 8 else 2 ** (s - 1) - 1 for s in sizes)
-        for metric in BOTH:
-            for l in range(1, fixed + 3, 2):
-                got = neighbor_list(closest_neighbors(c, metric, l, l))
-                assert got == reference_neighbors(c, metric, l, l)
-
-    def test_no_draw_that_cannot_rank(self, choices, monkeypatch):
-        c = sized((9, 10))
-        for metric in BOTH:
-            # 19 peel-offs, every one closer than any random split
-            choices.clear()
-            closest_neighbors(c, metric, 5)
-            assert choices == []
-            closest_neighbors(c, metric, 20)
-            assert len(choices) == 5 * (3 + 4)
-        # a 2-item cluster's two peel-offs are one split: with the 5
-        # peel-offs of the other cluster 6 fixed splits, so a budget of 7
-        # draws the random ones
-        monkeypatch.setattr(postclust.metrics, "EXHAUSTIVE_SPLIT_LIMIT", 1)
-        c = sized((2, 5))
-        for metric in BOTH:
-            for l, calls in ((6, 0), (7, 5)):
-                choices.clear()
                 got = neighbor_list(closest_neighbors(c, metric, l))
-                assert len(choices) == calls
-                assert got == reference_neighbors(c, metric, l, 0, 5, 1)
+                assert got == reference_neighbors(c, metric, l, limit)
 
 
 class TestMetricAxioms:
