@@ -21,6 +21,8 @@ from .metrics import Metric
 from .partition import Partition
 from .posterior import DrawMatrix, _unique_rows, draw_distances
 
+__all__ = ["CredibleBall", "BallBounds", "credible_ball", "ball_bounds"]
+
 
 @dataclass(eq=False)
 class CredibleBall:

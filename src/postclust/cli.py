@@ -132,6 +132,9 @@ def _cmd_estimate(args, argv) -> int:
     draws = load_draws(args.draws)
     psm = similarity_matrix(draws)
     result = greedy_search(draws, config)
+    if result.stats[-1].accepted is not None:  # cut off while improving
+        print(f"warning: the search stopped at --max-iters ({args.max_iters}) "
+              "with its last move still lowering the loss", file=sys.stderr)
     optimum = result.optimum
     payload = {
         "labels": str(optimum),

@@ -34,6 +34,9 @@ import numpy as np
 from .partition import Partition, canonicalize
 from .posterior import DrawMatrix
 
+__all__ = ["Dataset", "SamplerConfig", "log_marginal", "crp_log_prior",
+           "gibbs_run", "simulate_example", "load_galaxy"]
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 

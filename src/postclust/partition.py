@@ -13,6 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["Partition", "canonicalize", "one_cluster", "singletons",
+           "contingency"]
+
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
     """Relabel every row of an integer array into first-occurrence form,

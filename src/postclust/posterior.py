@@ -20,9 +20,9 @@ Loss estimators:
   candidate-dependent term needs only the similarity matrix, hence is
   cheap for large M; one per-posterior scalar comes from the draws.
 
-``best_sampled`` scores every distinct draw in one scan rather than one
-estimator call each.  For the exact VI the joint term of draw u, the sum
-of f(|A ∩ B|), f(n) = n log2 n, over its clusters A and the clusters B of
+``best_sampled`` scores every draw in one scan rather than one estimator
+call each.  For the exact VI the joint term of draw u, the sum of
+f(|A ∩ B|), f(n) = n log2 n, over its clusters A and the clusters B of
 every draw, is Σ_{A in u} G(A) with G(A) = Σ_c mult(c) f(|A ∩ c|): c runs
 over the distinct clusters of the chain and mult(c) counts the draws that
 hold c.  So G is scored once per distinct cluster, however many draws
@@ -32,11 +32,11 @@ item bitmasks, scattered from the same cluster codes.  The scan is still
 quadratic, in the number of distinct clusters.  For the Binder loss and
 the lower bound each draw's own-cluster similarity mass is read from
 ``P Z``, over chunks of item-by-cluster indicators ``Z`` of at most
-``TILE_CELLS`` cells.  The distinct draws are found by sorting byte keys
-of their label rows (``_unique_rows``).  Every draw within
-``CERTIFY_MARGIN`` of the smallest scanned loss is rescored by
-``expected_loss``, so the result is that of scoring each draw with the
-estimator, bit for bit.
+``TILE_CELLS`` cells.  Every draw within ``CERTIFY_MARGIN`` of the
+smallest scanned loss is shortlisted; the shortlist alone is reduced to
+its distinct partitions (``_unique_rows``), each at its first draw, and
+rescored by ``expected_loss``, so the result is that of scoring each draw
+with the estimator, bit for bit.
 """
 
 import math
@@ -48,6 +48,10 @@ import numpy as np
 
 from .metrics import Metric, _check_metric, _xlogx
 from .partition import Partition, _canonical_rows
+
+__all__ = ["DrawMatrix", "load_draws", "similarity_matrix", "expected_binder",
+           "expected_vi", "expected_vi_lower", "draw_distances", "expected_loss",
+           "best_sampled"]
 
 ESTIMATORS = ("exact", "lower-bound")
 TILE_CELLS = 2**15  # cells of one chunk's indicators or of one tile product
@@ -124,17 +128,13 @@ class DrawMatrix:
     def _cluster_sizes_flat(self) -> np.ndarray:
         return np.bincount(self._rowcode.ravel(), minlength=self._cellptr[-1])
 
-    @cached_property
-    def _row_xlogx(self) -> np.ndarray:
-        """Per draw: sum of n log2 n over its cluster sizes."""
-        return np.add.reduceat(_xlogx(self._cluster_sizes_flat), self._cellptr[:-1])
+    def _row_sum(self, f) -> np.ndarray:
+        """Per draw: the sum of ``f`` over its cluster sizes."""
+        return np.add.reduceat(f(self._cluster_sizes_flat), self._cellptr[:-1])
 
     @cached_property
-    def _row_sumsq(self) -> np.ndarray:
-        """Per draw: sum of squared cluster sizes."""
-        return np.add.reduceat(
-            self._cluster_sizes_flat.astype(np.float64) ** 2, self._cellptr[:-1]
-        )
+    def _row_xlogx(self) -> np.ndarray:
+        return self._row_sum(_xlogx)
 
 
 def _parse_labels(rows: list[str]) -> np.ndarray:
@@ -308,18 +308,19 @@ def expected_vi_lower(
 
 
 def draw_distances(center: Partition, draws: DrawMatrix, metric: Metric) -> np.ndarray:
-    """Distance from ``center`` to every draw, as a length-M vector."""
+    """Distance from ``center`` to every draw, as a length-M vector.
+
+    Both are (Σ f(size) over the clusters of the two partitions less
+    2 Σ f(count) over their contingency cells) / scale: f(n) = n log2 n
+    over N for the VI, and n^2 over N^2 for the Binder loss.
+    """
     _check_metric(metric)
     _check_candidate(center, draws.n)
-    joint = draws._joint_counts(center)
-    seg = draws._cellptr[:-1] * center.k
-    if metric is Metric.VI:
-        j_m = np.add.reduceat(_xlogx(joint), seg)
-        b = float(_xlogx(np.asarray(center.sizes)).sum())
-        return (draws._row_xlogx + b - 2.0 * j_m) / draws.n
-    j2_m = np.add.reduceat(joint.astype(np.float64) ** 2, seg)
-    b2 = float((np.asarray(center.sizes, dtype=np.float64) ** 2).sum())
-    return (draws._row_sumsq + b2 - 2.0 * j2_m) / (draws.n * draws.n)
+    f, scale = (_xlogx, draws.n) if metric is Metric.VI else (np.square, draws.n**2)
+    joint = np.add.reduceat(f(draws._joint_counts(center)),
+                            draws._cellptr[:-1] * center.k)
+    b = float(f(np.asarray(center.sizes)).sum())
+    return (draws._row_sum(f) + b - 2.0 * joint) / scale
 
 
 def expected_loss(
@@ -339,15 +340,15 @@ def expected_loss(
     return expected_vi_lower(candidate, psm, draws)
 
 
-def _scan_joint(draws: DrawMatrix, first: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """Per distinct draw u of ``first``: Σ_v weights[v] Σ_cells f(n),
-    f(n) = n log2 n, over the contingency counts of u against draw v.
+def _scan_joint(draws: DrawMatrix) -> np.ndarray:
+    """Per draw u: Σ_v Σ_cells f(n), f(n) = n log2 n, over the contingency
+    counts of u against every draw v.
 
     The sum splits by u's clusters A into Σ_{A in u} G(A), with
-    G(A) = Σ_c mult(c) f(|A ∩ c|) over the distinct clusters c of all the
-    rows and mult(c) the weight of the rows holding c.  So each distinct
-    cluster is found once, as a packed item bitmask, and G is scored once
+    G(A) = Σ_c mult(c) f(|A ∩ c|) over the distinct clusters c of the
+    chain and mult(c) the number of draws holding c.  So each distinct
+    cluster is found once, as an item bitmask packed from the bool
+    cluster-by-item indicator of a chunk of draws, and G is scored once
     per distinct cluster.  A one-item cluster has G = 0 and adds nothing
     to any other, since f(0) = f(1) = 0, so only larger clusters enter
     the products.  Those are cut into tiles of at most sqrt(TILE_CELLS)
@@ -356,15 +357,18 @@ def _scan_joint(draws: DrawMatrix, first: np.ndarray,
     with J >= I are walked: an off-diagonal tile also adds to tile J,
     weighted by the clusters of tile I.
     """
-    n, ks = draws.n, draws._ks[first]
-    clusters, sizes = _packed_clusters(draws, first)
-    _, index, inverse = np.unique(
+    n, items, ptr = draws.n, np.arange(draws.n), draws._cellptr
+    clusters = np.empty((int(ptr[-1]), (n + 7) // 8), np.uint8)
+    for lo, _, k, codes in _chunk_codes(draws.draws, draws._ks):
+        z = np.zeros((k, n), bool)
+        z[codes, items] = True
+        clusters[ptr[lo]:ptr[lo] + k] = np.packbits(z, axis=1)
+    _, index, inverse, mult = np.unique(
         clusters.view(np.dtype((np.void, clusters.shape[1]))).ravel(),
-        return_index=True, return_inverse=True,
+        return_index=True, return_inverse=True, return_counts=True,
     )
-    mult = np.bincount(inverse, weights=np.repeat(weights, ks))
-    big = np.flatnonzero(sizes[index] > 1)
-    z, w = clusters[index[big]], mult[big]
+    big = np.flatnonzero(draws._cluster_sizes_flat[index] > 1)
+    z, w = clusters[index[big]], mult[big].astype(np.float64)
     table = _xlogx(np.arange(n + 1))
     g = np.zeros(len(big))
     width = math.isqrt(TILE_CELLS)
@@ -379,31 +383,12 @@ def _scan_joint(draws: DrawMatrix, first: np.ndarray,
                 g[tj] += w[ti] @ cells
     per_cluster = np.zeros(len(index))
     per_cluster[big] = g
-    return np.add.reduceat(per_cluster[inverse], np.cumsum(ks) - ks)
-
-
-def _packed_clusters(draws: DrawMatrix,
-                     first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The item bitmask of every cluster of the draws ``first``, one
-    ``np.packbits`` row each, draw after draw in label order, and the size
-    of each cluster.  The codes of each chunk scatter into a small
-    cluster-by-item bool indicator; the sizes are the cached ones."""
-    n, ks = draws.n, draws._ks[first]
-    items = np.arange(n)
-    bits = np.empty((int(ks.sum()), (n + 7) // 8), np.uint8)
-    lo = 0
-    for _, _, clusters, codes in _chunk_codes(draws.draws[first], ks):
-        z = np.zeros((clusters, n), bool)
-        z[codes, items] = True
-        bits[lo:lo + clusters] = np.packbits(z, axis=1)
-        lo += clusters
-    cells = draws._cellptr[first] - (np.cumsum(ks) - ks)
-    return bits, draws._cluster_sizes_flat[np.repeat(cells, ks) + np.arange(lo)]
+    return np.add.reduceat(per_cluster[inverse], ptr[:-1])
 
 
 def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
                    psm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of distinct draws: Σ_n mass_n and Σ_n log2 mass_n, with
+    """Per label row: Σ_n mass_n and Σ_n log2 mass_n, with
     mass_n the similarity of item n to its own cluster, diagonal included,
     read from ``psm Z`` with ``Z`` the item-by-cluster indicators of each
     chunk."""
@@ -435,25 +420,21 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scanned_losses(draws: DrawMatrix, metric: Metric,
-                    estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """The first occurrence of every distinct draw, in chain order, and the
-    loss the scan gives it: the estimator's value up to rounding."""
-    first, counts = _unique_rows(draws.draws)
-    order = np.argsort(first)
-    first, weights = first[order], counts[order].astype(np.float64)
+                    estimator: str) -> np.ndarray:
+    """The loss the scan gives every draw, in chain order: the estimator's
+    value up to rounding."""
     n, m = draws.n, draws.m
     a = float(draws._row_xlogx.sum())
-    b = draws._row_xlogx[first]
+    b = draws._row_xlogx
     if metric is Metric.VI and estimator == "exact":
-        joint = _scan_joint(draws, first, weights)
-        return first, ((a + b * m - 2.0 * joint) / m) / n
+        return ((a + b * m - 2.0 * _scan_joint(draws)) / m) / n
     psm = draws.similarity
-    mass, log_mass = _scan_own_mass(draws.draws[first], draws._ks[first], psm)
+    mass, log_mass = _scan_own_mass(draws.draws, draws._ks, psm)
     if metric is Metric.BINDER:
         pairs = (psm.sum() - n) / 2.0  # Σ_{i<j} p_ij
-        same = (draws._row_sumsq[first] - n) / 2.0  # co-clustered pairs
-        return first, 2.0 * (pairs + same - (mass - n)) / (n * n)
-    return first, (a / m + b - 2.0 * log_mass) / n
+        same = (draws._row_sum(np.square) - n) / 2.0  # co-clustered pairs
+        return 2.0 * (pairs + same - (mass - n)) / (n * n)
+    return (a / m + b - 2.0 * log_mass) / n
 
 
 def best_sampled(
@@ -461,17 +442,20 @@ def best_sampled(
 ) -> tuple[Partition, float]:
     """The sampled partition minimizing the chosen posterior expected loss.
 
-    One scan scores every distinct draw from shared statistics, in tiles
-    of at most ``TILE_CELLS`` cells; every draw within
-    ``CERTIFY_MARGIN`` of the smallest scanned loss is then rescored by
+    One scan scores every draw from shared statistics, in tiles of at most
+    ``TILE_CELLS`` cells.  The draws within ``CERTIFY_MARGIN`` of the
+    smallest scanned loss form the shortlist; each distinct partition on
+    it, at its first draw in chain order, is rescored by
     ``expected_loss``.  The scan is exact up to rounding far below the
     margin, so the estimator's minimizer is always rescored.  Ties are
     broken by first occurrence in the chain.  Returns the winning
     partition together with its estimated loss.
     """
     _check_estimator(metric, estimator)
-    first, loss = _scanned_losses(draws, metric, estimator)
-    shortlist = [draws.row(u) for u in first[loss <= loss.min() + CERTIFY_MARGIN]]
+    loss = _scanned_losses(draws, metric, estimator)
+    near = np.flatnonzero(loss <= loss.min() + CERTIFY_MARGIN)
+    first = np.sort(_unique_rows(draws.draws[near])[0])
+    shortlist = [draws.row(u) for u in near[first]]
     rescored = [expected_loss(c, draws, metric, estimator) for c in shortlist]
     best = int(np.argmin(rescored))
     return shortlist[best], rescored[best]

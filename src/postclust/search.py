@@ -48,6 +48,8 @@ from .posterior import (
     expected_loss,
 )
 
+__all__ = ["SearchConfig", "SearchResult", "greedy_search"]
+
 IMPROVEMENT_TOL = 1e-12  # required strict decrease before a move is accepted
 
 
@@ -217,6 +219,10 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
     Returns the final partition, its estimated loss, the number of accepted
     moves, the full descent trajectory and per-iteration stats.  The search
     draws no random numbers: identical inputs give bit-identical results.
+    Exact and lower-bound VI searches from ``one_cluster`` never move when
+    the posterior's clusters are balanced: every peel-off raises the loss,
+    and no other split of a large cluster is listed, so the search returns
+    its start (ROADMAP item 2).
     """
     current, current_loss = _initial(draws, config)
     trajectory = [(current, current_loss)]

@@ -339,3 +339,19 @@ def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
                      "--alpha", "0.1", "--out", str(ball)]) == 0
     assert hashlib.sha256(est.read_bytes()).hexdigest() == estimate_digest
     assert hashlib.sha256(ball.read_bytes()).hexdigest() == ball_digest
+
+
+def test_search_cut_off_by_max_iters_warns(tmp_path, capsys):
+    # from singletons the first merge lowers the loss, so one iteration
+    # stops a walk that is still improving; from the best draw it converges
+    draws, start = tmp_path / "draws.csv", tmp_path / "singletons.txt"
+    pinned_draws(draws)
+    start.write_text(",".join(map(str, range(30))) + "\n")
+    assert cli.main(["estimate", str(draws), "--init", str(start),
+                     "--max-iters", "1", "--out", str(tmp_path / "cut.json")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "--max-iters (1)" in err
+    assert err.count("\n") == 1
+    assert cli.main(["estimate", str(draws),
+                     "--out", str(tmp_path / "done.json")]) == 0
+    assert capsys.readouterr().err == ""

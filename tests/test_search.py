@@ -216,8 +216,10 @@ class TestGreedyDescent:
         draws = synthetic_draws(rng, 8, 40, support=6)
         greedy_search(draws, SearchConfig(metric=Metric.VI, max_iters=1))
         assert calls["best_sampled"] == 1
-        _, scanned = _scanned_losses(draws, Metric.VI, "exact")
-        shortlist = np.sum(scanned <= scanned.min() + CERTIFY_MARGIN)
+        # one call per distinct partition on the shortlist
+        scanned = _scanned_losses(draws, Metric.VI, "exact")
+        near = draws.draws[scanned <= scanned.min() + CERTIFY_MARGIN]
+        shortlist = len(np.unique(near, axis=0))
         assert calls["expected_loss"] == shortlist >= 1
 
     def test_iteration_without_candidates_is_recorded(self, monkeypatch):
@@ -416,8 +418,8 @@ class TestTrajectoryPin:
 
     def test_binder_pin_ends_where_random_splits_ended(self):
         # peel-offs alone take the walk from one cluster out to 20 clusters
-        # and back to 3; it ends at the optimum that random splits of large
-        # clusters also reached, in 24 moves
+        # and back to 3 in 36 moves; it ends at the optimum that random
+        # splits of large clusters reached in 24
         result = greedy_search(noisy_posterior(0), SearchConfig(
             metric=Metric.BINDER, init=one_cluster(31)
         ))
