@@ -80,7 +80,7 @@ def ball_bounds(ball: CredibleBall, draws: DrawMatrix) -> BallBounds:
     by draw frequency and then by label sequence.
     """
     idx = ball.member_indices
-    first, counts = _unique_rows(draws.draws[idx])
+    first, _, counts = _unique_rows(draws.draws[idx])
     u_dist = ball.distances[idx[first]]
     u_k = draws._ks[idx[first]]
 

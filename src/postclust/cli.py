@@ -31,16 +31,10 @@ from .ball import ball_bounds, credible_ball
 from .dpm import Dataset, SamplerConfig, gibbs_run, simulate_example
 from .metrics import Metric, binder, vi
 from .partition import Partition
-from .posterior import (
-    DrawMatrix,
-    expected_binder,
-    expected_vi,
-    load_draws,
-    similarity_matrix,
-)
+from .posterior import (expected_binder, expected_vi, load_draws,
+                        similarity_matrix)
 from .search import SearchConfig, SearchResult, greedy_search
 
-METRICS = {"vi": Metric.VI, "binder": Metric.BINDER}
 ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
 # SamplerConfig fields, spelled as the ``sample`` options that set them.
 SAMPLE_OPTIONS = {"mu0": "--mu0", "c": "--c", "a": "--a", "b": "--b",
@@ -64,6 +58,15 @@ def _usage_error(message, options=None) -> int:
         message = re.sub(r"\w+", lambda m: options.get(m[0], m[0]), str(message))
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _check_writable(*paths):
+    """Raise OSError if an output path cannot be written; create no file."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()  # raises if the path cannot be written
+        if not existed:
+            os.remove(path)
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace, argv: list[str],
@@ -102,7 +105,7 @@ def _write_result(payload: dict, args, argv: list[str], inputs: list[str],
 def _cmd_dist(args, argv) -> int:
     a = _read_partition(args.partition_a)
     b = _read_partition(args.partition_b)
-    fn = vi if METRICS[args.metric] is Metric.VI else binder
+    fn = vi if Metric(args.metric) is Metric.VI else binder
     print(repr(fn(a, b)))
     return 0
 
@@ -119,7 +122,7 @@ def _cmd_estimate(args, argv) -> int:
     start = args.init in ("best", "last")
     try:  # the command line alone decides these: a usage error
         config = SearchConfig(
-            metric=METRICS[args.metric],
+            metric=Metric(args.metric),
             estimator=ESTIMATORS[args.estimator],
             l=args.l,
             max_iters=args.max_iters,
@@ -127,6 +130,7 @@ def _cmd_estimate(args, argv) -> int:
         )
     except ValueError as exc:
         return _usage_error(exc, SEARCH_OPTIONS)
+    _check_writable(args.out, args.trajectory)
     if not start:
         config = dataclasses.replace(config, init=_read_partition(args.init))
     draws = load_draws(args.draws)
@@ -166,9 +170,10 @@ def _cmd_ball(args, argv) -> int:
     if not 0.0 < args.alpha < 1.0:
         return _usage_error(f"--alpha ({args.alpha}) must lie strictly "
                             "between 0 and 1")
+    _check_writable(args.out)
     draws = load_draws(args.draws)
     center = _read_partition(args.center)
-    ball = credible_ball(center, draws, args.alpha, METRICS[args.metric])
+    ball = credible_ball(center, draws, args.alpha, Metric(args.metric))
     bounds = ball_bounds(ball, draws)
     payload = {
         "alpha": ball.alpha,
@@ -216,11 +221,7 @@ def _cmd_sample(args, argv) -> int:
         )
     except ValueError as exc:
         return _usage_error(exc, SAMPLE_OPTIONS)
-    for path in filter(None, (args.out, args.trace)):  # fail before sampling
-        existed = os.path.exists(path)
-        open(path, "a").close()  # raises if the path cannot be written
-        if not existed:
-            os.remove(path)
+    _check_writable(args.out, args.trace)
     with open(args.data, encoding="utf-8-sig") as fh:  # drops a BOM
         data = Dataset(np.loadtxt(fh, delimiter=",", ndmin=2))
     config = dataclasses.replace(
@@ -269,8 +270,9 @@ def _cmd_pairclass(args, argv) -> int:
     return 0
 
 
-def _add_metric(parser, default="vi"):
-    parser.add_argument("--metric", choices=sorted(METRICS), default=default)
+def _add_metric(parser):
+    parser.add_argument("--metric", default="vi",
+                        choices=sorted(m.value for m in Metric))
 
 
 def build_parser() -> argparse.ArgumentParser:

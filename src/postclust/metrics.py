@@ -88,8 +88,7 @@ def merge_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
     _check_metric(metric)
     ni, nj = sizes
     if metric is Metric.VI:
-        m = ni + nj
-        return (m * math.log2(m) - _int_xlogx(ni) - _int_xlogx(nj)) / n
+        return (_int_xlogx(ni + nj) - _int_xlogx(ni) - _int_xlogx(nj)) / n
     return 2.0 * ni * nj / (n * n)
 
 

@@ -178,15 +178,13 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(labels)
 
 
-def _chunk_codes(rows: np.ndarray, ks: np.ndarray):
-    """Cluster codes of canonical label ``rows`` with ``ks`` clusters each,
-    chunk by chunk: consecutive rows lo:hi whose clusters hold at most
-    ``TILE_CELLS`` item cells together (a row with more is a chunk of its
-    own).  Yields lo, hi, the number of clusters of the chunk and the code
-    of every item, its label plus the clusters of the chunk's rows before
-    its own, so each cluster of the chunk has one code."""
-    ptr = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(ks, out=ptr[1:])
+def _chunk_codes(rows: np.ndarray, ptr: np.ndarray):
+    """Cluster codes of canonical label ``rows``, row m's clusters at cells
+    ptr[m]:ptr[m + 1] (``DrawMatrix._cellptr``), chunk by chunk: rows lo:hi
+    whose clusters hold at most ``TILE_CELLS`` item cells together (a row
+    with more is a chunk of its own).  Yields lo, hi, the number of clusters
+    of the chunk and each item's code, its label plus the clusters of the
+    chunk's rows before its own: one code per cluster of the chunk."""
     width, lo = TILE_CELLS // rows.shape[1], 0
     while lo < len(rows):
         hi = int(np.searchsorted(ptr, ptr[lo] + width, "right")) - 1
@@ -199,12 +197,12 @@ def _chunk_codes(rows: np.ndarray, ks: np.ndarray):
 def _co_clustering(draws: DrawMatrix) -> np.ndarray:
     n = draws.n
     items = np.arange(n)
-    counts = np.zeros((n, n))
-    for _, _, clusters, codes in _chunk_codes(draws.draws, draws._ks):
+    p = np.zeros((n, n))
+    for _, _, clusters, codes in _chunk_codes(draws.draws, draws._cellptr):
         z = np.zeros((clusters, n), np.float32)
         z[codes, items] = 1
-        counts += z.T @ z  # integers below 2^24: exact in float32
-    p = counts / draws.m
+        p += z.T @ z  # integers below 2^24: exact in float32
+    p /= draws.m  # in place: no second N x N array
     p.setflags(write=False)
     return p
 
@@ -271,8 +269,7 @@ def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
     bits between ``candidate`` and every sampled partition."""
     _check_candidate(candidate, draws.n)
     joint = draws._joint_counts(candidate)
-    joint = joint[joint > 0]
-    j_total = float((joint * np.log2(joint)).sum())
+    j_total = float(_xlogx(joint[joint > 0]).sum())
     b = float(_xlogx(np.asarray(candidate.sizes)).sum())
     a = float(draws._row_xlogx.sum())
     return ((a + b * draws.m - 2.0 * j_total) / draws.m) / draws.n
@@ -301,7 +298,7 @@ def expected_vi_lower(
     _check_similarity(candidate, psm)
     _check_candidate(candidate, draws.n)
     labels = np.asarray([candidate.labels])
-    _, log_mass = _scan_own_mass(labels, np.array([candidate.k]), psm)
+    _, log_mass = _scan_own_mass(labels, np.array([0, candidate.k]), psm)
     sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels[0]]
     a = float(draws._row_xlogx.sum()) / draws.m
     return float(a + np.log2(sizes).sum() - 2.0 * log_mass[0]) / candidate.n_items
@@ -359,14 +356,11 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     """
     n, items, ptr = draws.n, np.arange(draws.n), draws._cellptr
     clusters = np.empty((int(ptr[-1]), (n + 7) // 8), np.uint8)
-    for lo, _, k, codes in _chunk_codes(draws.draws, draws._ks):
+    for lo, _, k, codes in _chunk_codes(draws.draws, ptr):
         z = np.zeros((k, n), bool)
         z[codes, items] = True
         clusters[ptr[lo]:ptr[lo] + k] = np.packbits(z, axis=1)
-    _, index, inverse, mult = np.unique(
-        clusters.view(np.dtype((np.void, clusters.shape[1]))).ravel(),
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    index, inverse, mult = _unique_rows(clusters)
     big = np.flatnonzero(draws._cluster_sizes_flat[index] > 1)
     z, w = clusters[index[big]], mult[big].astype(np.float64)
     table = _xlogx(np.arange(n + 1))
@@ -386,16 +380,16 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     return np.add.reduceat(per_cluster[inverse], ptr[:-1])
 
 
-def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
+def _scan_own_mass(rows: np.ndarray, ptr: np.ndarray,
                    psm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per label row: Σ_n mass_n and Σ_n log2 mass_n, with
-    mass_n the similarity of item n to its own cluster, diagonal included,
-    read from ``psm Z`` with ``Z`` the item-by-cluster indicators of each
-    chunk."""
+    """Per label row, its clusters at cell offsets ``ptr`` as in
+    ``_chunk_codes``: Σ_n mass_n and Σ_n log2 mass_n, with mass_n the
+    similarity of item n to its own cluster, diagonal included, read from
+    ``psm Z`` with ``Z`` the item-by-cluster indicators of each chunk."""
     n = rows.shape[1]
     items = np.arange(n)
     total, logs = np.empty(len(rows)), np.empty(len(rows))
-    for lo, hi, clusters, codes in _chunk_codes(rows, ks):
+    for lo, hi, clusters, codes in _chunk_codes(rows, ptr):
         z = np.zeros((n, clusters))
         z[items, codes] = 1
         own = (psm @ z)[items, codes]
@@ -404,19 +398,20 @@ def _scan_own_mass(rows: np.ndarray, ks: np.ndarray,
     return total, logs
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first occurrence and the count of every distinct canonical label
-    row, in the row order of ``np.unique(rows, axis=0)``.
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First occurrence, inverse and count of each distinct row of canonical
+    labels or packed bytes, in the row order of ``np.unique(rows, axis=0)``.
 
-    Each row is one byte key of its labels as big-endian unsigned integers
-    of the narrowest width that holds N - 1; keys sort bytewise like the
-    non-negative labels do, and the stable sort keeps the first of equal
+    Each row is one byte key of its values as big-endian unsigned integers,
+    one byte wide or as wide as N - 1 needs; keys sort bytewise like the
+    non-negative values do, and the stable sort keeps the first of equal
     rows in front.
     """
     width = np.min_scalar_type(rows.shape[1] - 1).newbyteorder(">")
     keys = np.ascontiguousarray(rows, dtype=width)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    return np.unique(keys, return_index=True, return_counts=True)[1:]
+    return np.unique(keys, return_index=True, return_inverse=True,
+                     return_counts=True)[1:]
 
 
 def _scanned_losses(draws: DrawMatrix, metric: Metric,
@@ -429,7 +424,7 @@ def _scanned_losses(draws: DrawMatrix, metric: Metric,
     if metric is Metric.VI and estimator == "exact":
         return ((a + b * m - 2.0 * _scan_joint(draws)) / m) / n
     psm = draws.similarity
-    mass, log_mass = _scan_own_mass(draws.draws, draws._ks, psm)
+    mass, log_mass = _scan_own_mass(draws.draws, draws._cellptr, psm)
     if metric is Metric.BINDER:
         pairs = (psm.sum() - n) / 2.0  # Σ_{i<j} p_ij
         same = (draws._row_sum(np.square) - n) / 2.0  # co-clustered pairs

@@ -188,6 +188,46 @@ def test_unwritable_output_is_found_before_sampling(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [data]
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["estimate", "{draws}", "--out", "{tmp}/nodir/e.json"], "greedy_search"),
+    (["estimate", "{draws}", "--out", "{tmp}/e.json",
+      "--trajectory", "{tmp}/nodir/t.csv"], "greedy_search"),
+    (["ball", "{draws}", "{draws}", "--out", "{tmp}/nodir/b.json"],
+     "credible_ball"),
+], ids=["estimate", "trajectory", "ball"])
+def test_unwritable_output_is_found_before_the_search(tmp_path, capsys,
+                                                      monkeypatch, argv, stage):
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+
+    monkeypatch.setattr(cli, stage, no_search)
+    draws = tmp_path / "draws.csv"
+    draws.write_text("0,0,1,1\n0,1,1,1\n")
+    code = cli.main([arg.format(tmp=tmp_path, draws=draws) for arg in argv])
+    assert code == 3
+    assert "nodir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [draws]
+
+
+@pytest.mark.parametrize("command", ["estimate", "ball"])
+def test_stdout_holds_the_bytes_out_would_write(tmp_path, capsys, command):
+    draws, out = tmp_path / "draws.csv", tmp_path / "result.json"
+    pinned_draws(draws)
+    # the ball's centre: the first draw, read from the draw file
+    argv = [command, str(draws)] + ([str(draws)] if command == "ball" else [])
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+
+
+def test_pairclass_of_different_sizes_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "pc.csv"
+    assert cli.main(["pairclass", "0,1", "0,1,2", str(out)]) == 3
+    assert "different item counts" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_file_outputs_hold_what_they_promise(tmp_path):
     draws = tmp_path / "draws.csv"
     draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")

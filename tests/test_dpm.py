@@ -80,6 +80,19 @@ class TestLogMarginal:
         )
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset(np.zeros((3, 2, 2))), "vector or a 2-D matrix"),
+    (lambda: Dataset([1.5]), "at least 2 observations"),
+    (lambda: log_marginal([], SamplerConfig()), "empty cluster"),
+    (lambda: simulate_example("example3", 10), "unknown example"),
+    (lambda: simulate_example("example1", 3), "n >= 4"),
+], ids=["3-D data", "one observation", "no points", "unknown example",
+        "n below 4"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestExactPosterior:
     POINTS = [-1.3, -1.0, 0.2, 1.4, 1.6]
     ALPHA = 1.5

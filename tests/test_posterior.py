@@ -166,6 +166,18 @@ class TestLoadDraws:
                 load_draws(io.StringIO(text))
 
 
+class TestDrawMatrix:
+    @pytest.mark.parametrize("draws, message", [
+        ([0, 1, 1], "2-D array"),
+        (np.zeros((0, 3), np.int64), "one row and one item"),
+        (np.zeros((2, 0), np.int64), "one row and one item"),
+        ([[0.0, 1.0, 1.0]], "integers"),
+    ], ids=["1-D", "no rows", "no items", "float labels"])
+    def test_rejects(self, draws, message):
+        with pytest.raises(ValueError, match=message):
+            DrawMatrix(draws)
+
+
 class TestRowCode:
     @pytest.mark.parametrize("n, dtype", [(46340, np.int32), (46341, np.int64)])
     def test_dtype_at_the_int32_bound(self, n, dtype):
@@ -651,8 +663,24 @@ class TestUniqueRows:
             assert (rows == row).all(axis=1).any()
         members = rng.permutation(len(rows))[:50]
         for sample in (rows, rows[members], rows[:1]):
-            first, counts = _unique_rows(sample)
+            first, _, counts = _unique_rows(sample)
             _, want_first, want_counts = np.unique(
                 sample, axis=0, return_index=True, return_counts=True)
             np.testing.assert_array_equal(first, want_first)
             np.testing.assert_array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize("width", [1, 2, 300])
+    def test_inverse_of_packed_bytes(self, rng, width):
+        # packed bitmasks, as the exact-VI scan dedupes its clusters: every
+        # byte value 0-255 is a key, whatever the row length
+        pool = rng.integers(0, 256, size=(6, width), dtype=np.uint8)
+        pool[0] = 255
+        rows = pool[rng.integers(0, len(pool), size=40)]
+        first, inverse, counts = _unique_rows(rows)
+        _, want_first, want_inverse, want_counts = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True,
+            return_counts=True)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(rows[first][inverse], rows)
