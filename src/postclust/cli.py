@@ -111,8 +111,8 @@ def _cmd_dist(args, argv) -> int:
 
 
 def _cmd_psm(args, argv) -> int:
-    draws = load_draws(args.draws)
-    psm = similarity_matrix(draws)
+    _check_writable(args.out)
+    psm = similarity_matrix(load_draws(args.draws))
     np.savetxt(args.out, psm, fmt="%.17g", delimiter=",")
     _write_manifest(args.out, args, argv, [args.draws], [args.out])
     return 0
@@ -134,20 +134,22 @@ def _cmd_estimate(args, argv) -> int:
     if not start:
         config = dataclasses.replace(config, init=_read_partition(args.init))
     draws = load_draws(args.draws)
-    psm = similarity_matrix(draws)
     result = greedy_search(draws, config)
     if result.stats[-1].accepted is not None:  # cut off while improving
         print(f"warning: the search stopped at --max-iters ({args.max_iters}) "
               "with its last move still lowering the loss", file=sys.stderr)
     optimum = result.optimum
+    scored = config.metric if config.estimator == "exact" else None  # by the search
     payload = {
         "labels": str(optimum),
         "k": optimum.k,
         "metric": args.metric,
         "estimator": args.estimator,
         "expected_loss": result.expected_loss,
-        "expected_binder": expected_binder(optimum, psm),
-        "expected_vi": expected_vi(optimum, draws),
+        "expected_binder": result.expected_loss if scored is Metric.BINDER
+        else expected_binder(optimum, similarity_matrix(draws)),
+        "expected_vi": result.expected_loss if scored is Metric.VI
+        else expected_vi(optimum, draws),
         "iterations_used": result.iterations_used,
     }
     if args.trajectory:
@@ -246,6 +248,7 @@ def _cmd_sample(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     if args.n < 4:
         return _usage_error(f"--n ({args.n}) must be >= 4")
+    _check_writable(args.out_data, args.out_labels)
     data, truth = simulate_example(args.which, args.n, args.seed)
     np.savetxt(args.out_data, data.points, fmt="%.17g", delimiter=",")
     with open(args.out_labels, "w", encoding="utf-8") as fh:
@@ -256,6 +259,7 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_pairclass(args, argv) -> int:
+    _check_writable(args.out)
     estimate = _read_partition(args.estimate)
     truth = _read_partition(args.truth)
     if estimate.n_items != truth.n_items:

@@ -26,9 +26,10 @@ f(|A ∩ B|), f(n) = n log2 n, over its clusters A and the clusters B of
 every draw, is Σ_{A in u} G(A) with G(A) = Σ_c mult(c) f(|A ∩ c|): c runs
 over the distinct clusters of the chain and mult(c) counts the draws that
 hold c.  So G is scored once per distinct cluster, however many draws
-share it, from products of tiles of cluster indicators of at most
-``TILE_CELLS`` cells, walked with J >= I; the clusters are found as packed
-item bitmasks, scattered from the same cluster codes.  The scan is still
+share it, from float32 products of tiles of cluster indicators of at most
+``TILE_CELLS`` cells, walked with J >= I; for N <= 255 each column of
+tile J packs two clusters, z + (N + 1) z', whose counts stay exact (cells
+<= N (N + 2) < 2^24) at half the multiply-adds.  The scan is still
 quadratic, in the number of distinct clusters.  For the Binder loss and
 the lower bound each draw's own-cluster similarity mass is read from
 ``P Z``, over chunks of item-by-cluster indicators ``Z`` of at most
@@ -348,11 +349,14 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     cluster-by-item indicator of a chunk of draws, and G is scored once
     per distinct cluster.  A one-item cluster has G = 0 and adds nothing
     to any other, since f(0) = f(1) = 0, so only larger clusters enter
-    the products.  Those are cut into tiles of at most sqrt(TILE_CELLS)
-    clusters; the counts of two tiles are one float32 product of their
-    indicator matrices, exact since they are integers <= N.  Only tiles
-    with J >= I are walked: an off-diagonal tile also adds to tile J,
-    weighted by the clusters of tile I.
+    the products.  Those are cut into tiles of d w clusters, w =
+    isqrt(TILE_CELLS // d), whose counts are one float32 product of tile
+    I's indicators and tile J's packed d to a column: z_2q + (N + 1) z_2q+1
+    at d = 2, when the decode table's (N + 1)^2 rows fit 2^16 (N <= 255).
+    A cell v <= N (N + 2) < 2^24 is exact; its intp cast picks table row
+    v, f(v mod (N + 1)) and f(v div (N + 1)).  Only tiles with J >= I are
+    walked: an off-diagonal tile also adds to tile J, weighted by the
+    clusters of tile I.
     """
     n, items, ptr = draws.n, np.arange(draws.n), draws._cellptr
     clusters = np.empty((int(ptr[-1]), (n + 7) // 8), np.uint8)
@@ -363,18 +367,25 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     index, inverse, mult = _unique_rows(clusters)
     big = np.flatnonzero(draws._cluster_sizes_flat[index] > 1)
     z, w = clusters[index[big]], mult[big].astype(np.float64)
-    table = _xlogx(np.arange(n + 1))
+    base = n + 1
+    d = 2 if base * base <= 2**16 else 1  # clusters per column of tile J
+    table = _xlogx(np.arange(base))[  # row v: f of each base-(N + 1) digit of v
+        np.arange(base**d)[:, None] // base**np.arange(d) % base]
     g = np.zeros(len(big))
-    width = math.isqrt(TILE_CELLS)
-    tiles = [slice(lo, lo + width) for lo in range(0, len(big), width)]
+    span = d * max(1, math.isqrt(TILE_CELLS // d))
+    tiles = [slice(lo, lo + span) for lo in range(0, len(big), span)]
     for i, ti in enumerate(tiles):
         zi = np.unpackbits(z[ti], axis=1, count=n).astype(np.float32)
         for tj in tiles[i:]:
             zj = np.unpackbits(z[tj], axis=1, count=n).astype(np.float32)
-            cells = table.take((zi @ zj.T).astype(np.intp))
+            for r in range(1, d):  # column q: clusters dq, ..., dq + d - 1
+                zj[:len(zj) - r:d] += base**r * zj[r::d]
+            cells = table.take((zi @ zj[::d].T).astype(np.intp), axis=0)
+            cells = cells.reshape(len(zi), -1)[:, :len(zj)]
             g[ti] += cells @ w[tj]
             if tj is not ti:
                 g[tj] += w[ti] @ cells
+            del cells  # before the next pair's cells are taken
     per_cluster = np.zeros(len(index))
     per_cluster[big] = g
     return np.add.reduceat(per_cluster[inverse], ptr[:-1])

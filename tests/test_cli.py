@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postclust import __version__, cli, posterior
+from postclust import Partition, __version__, cli, posterior
 
 
 def test_simulate_sample_estimate_ball_round_trip(tmp_path):
@@ -207,6 +207,55 @@ def test_unwritable_output_is_found_before_the_search(tmp_path, capsys,
     assert code == 3
     assert "nodir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [draws]
+
+
+@pytest.mark.parametrize("argv, reader", [
+    (["simulate", "example1", "--out-data", "{tmp}/d.csv",
+      "--out-labels", "{tmp}/nodir/t.txt"], "simulate_example"),
+    (["simulate", "example1", "--out-data", "{tmp}/nodir/d.csv",
+      "--out-labels", "{tmp}/t.txt"], "simulate_example"),
+    (["psm", "{tmp}/draws.csv", "{tmp}/nodir/p.csv"], "load_draws"),
+    (["pairclass", "0,0,1", "0,1,1", "{tmp}/nodir/pc.csv"], "_read_partition"),
+], ids=["simulate-labels", "simulate-data", "psm", "pairclass"])
+def test_unwritable_output_is_found_before_any_input(tmp_path, capsys,
+                                                     monkeypatch, argv, reader):
+    def no_input(*args, **kwargs):
+        raise AssertionError(f"{reader} ran")
+
+    monkeypatch.setattr(cli, reader, no_input)
+    code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 3
+    assert "nodir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no data file, no manifest
+
+
+@pytest.mark.parametrize("metric, estimator, rescored", [
+    ("vi", "exact", ["expected_binder"]),
+    ("binder", "exact", ["expected_vi"]),
+    ("vi", "lb", ["expected_binder", "expected_vi"]),
+], ids=["vi-exact", "binder-exact", "vi-lb"])
+def test_estimate_scores_its_optimum_once_per_loss(tmp_path, monkeypatch,
+                                                   metric, estimator, rescored):
+    # the exact loss the search minimized is its result's; only the
+    # other losses are computed again, and every one equals a fresh score
+    calls = []
+    for name in ("expected_binder", "expected_vi"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, name=name, f=original:
+                            calls.append(name) or f(*a))
+    draws, out = tmp_path / "draws.csv", tmp_path / "e.json"
+    pinned_draws(draws)
+    assert cli.main(["estimate", str(draws), "--metric", metric,
+                     "--estimator", estimator, "--out", str(out)]) == 0
+    assert sorted(calls) == rescored
+    payload = json.loads(out.read_text())
+    sample = posterior.load_draws(draws)
+    optimum = Partition(tuple(map(int, payload["labels"].split(","))))
+    assert payload["expected_vi"] == posterior.expected_vi(optimum, sample)
+    assert payload["expected_binder"] == posterior.expected_binder(
+        optimum, posterior.similarity_matrix(sample))
+    if estimator == "exact":
+        assert payload[f"expected_{metric}"] == payload["expected_loss"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "ball"])

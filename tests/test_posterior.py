@@ -533,6 +533,19 @@ def weighted_draws(rng):
     return DrawMatrix(rows[rng.permutation(len(rows))])
 
 
+def odd_cluster_draws(rng):
+    """N = 12 and eleven distinct clusters of more than one item, so one
+    tile holds them all and its last column packs a single cluster."""
+    pairs, triples = np.repeat(np.arange(6), 2), np.repeat(np.arange(4), 3)
+    rows = np.array([pairs, triples, np.r_[np.arange(9), 9, 9, 9],
+                     np.zeros(12, int), triples, np.arange(12)])
+    draws = DrawMatrix(rows)
+    clusters = {frozenset(np.flatnonzero(row == k).tolist())
+                for row in draws.draws for k in range(row.max() + 1)}
+    assert sum(len(c) > 1 for c in clusters) == 11
+    return draws
+
+
 def spread_posterior(seed, n, m):
     """Five base clusters; each draw moves 6 random items to any of 7
     labels, so nearly every draw and cluster is distinct."""
@@ -577,7 +590,12 @@ class TestScan:
         lambda rng: synthetic_draws(rng, 203, 30, support=12),
         lambda rng: DrawMatrix(np.tile(np.arange(9), (7, 1))),
         weighted_draws,
-    ], ids=["shared-cluster", "n13", "n203", "all-singletons", "weighted"])
+        # 256 items: a decode table of 257^2 rows passes 2^16, so tile J
+        # holds one cluster per column; up to 255 it packs two
+        lambda rng: synthetic_draws(rng, 256, 30, support=12),
+        odd_cluster_draws,
+    ], ids=["shared-cluster", "n13", "n203", "all-singletons", "weighted",
+            "n256-one-per-column", "odd-last-column"])
     def test_scan_and_best_draw_match_the_estimator(
         self, rng, metric, estimator, posterior
     ):
@@ -588,6 +606,25 @@ class TestScan:
         np.testing.assert_allclose(scanned, exact, rtol=0, atol=TOL)
         assert best_sampled(draws, metric, estimator) == reference_best(
             draws, metric, estimator)
+
+    def test_largest_packed_counts_decode_exactly(self, monkeypatch):
+        # at N = 255 a column packing two clusters that hold every item
+        # meets a row cluster of every item in the cell 255 + 256 * 255 =
+        # 2^16 - 1, the last row of the decode table.  Distinct clusters
+        # cannot both hold every item, so every cluster is kept apart here:
+        # the all-in-one clusters of draws 0 and 1 share the first column
+        def every_row_distinct(rows):
+            order = np.arange(len(rows))
+            return order, order, np.ones(len(rows), np.int64)
+
+        monkeypatch.setattr(postclust.posterior, "_unique_rows",
+                            every_row_distinct)
+        halves = np.repeat([0, 1], [128, 127])
+        draws = DrawMatrix(np.array([np.zeros(255, int), np.zeros(255, int),
+                                     halves, np.arange(255)]))
+        scanned = _scanned_losses(draws, Metric.VI, "exact")
+        exact = [expected_vi(draws.row(u), draws) for u in range(draws.m)]
+        np.testing.assert_allclose(scanned, exact, rtol=0, atol=TOL)
 
     def test_memory_stays_within_tiles(self):
         # the draws hold about 7000 distinct clusters: a product of all of
