@@ -123,14 +123,6 @@ class _Model:
         self.a_n = (a + counts / 2.0).tolist()
         self.g = (0.5 / (c + counts)).tolist()
 
-    def log_marginal(self, n: int, sums, s: int = 0) -> float:
-        """Log marginal likelihood of slot ``s``, of ``n`` items; ``sums``
-        yields per dimension the slots' sums s1 and their ``b + s2/2``."""
-        g, t = self.g[n - 1], 0.0
-        for s1, h in sums:
-            t += math.log(h[s] - s1[s] * s1[s] * g)
-        return self.prefactor[n - 1] - self.a_n[n - 1] * t
-
     def item_stats(self, points: np.ndarray) -> list:
         """Per item and dimension, the pair [x - mu0, (x - mu0)**2 / 2]."""
         x = points - self.mu0
@@ -146,8 +138,10 @@ def log_marginal(cluster_points, config: SamplerConfig) -> float:
         raise ValueError("empty cluster")
     model = _Model(config, pts.shape[1], pts.shape[0])
     s1, half_s2 = np.sum(model.item_stats(pts), axis=0).T
-    sums = zip(s1[:, None].tolist(), (half_s2 + model.b)[:, None].tolist())
-    return model.log_marginal(pts.shape[0], sums)
+    n, t = pts.shape[0], 0.0  # the sampler's formula, per dimension
+    for s, h in zip(s1.tolist(), (half_s2 + model.b).tolist()):
+        t += math.log(h - s * s * model.g[n - 1])
+    return model.prefactor[n - 1] - model.a_n[n - 1] * t
 
 
 def _crp_log_prior(sizes: Sequence[int], alpha: float) -> float:
@@ -182,7 +176,7 @@ class _GibbsState:
         self.model = model
         self.labels = [-1] * data.n
         self.counts, self.logm = [0], [0.0]
-        self.sums = sums = [([0.0], [b]) for b in model.b.tolist()]
+        sums = [([0.0], [b]) for b in model.b.tolist()]
         self.columns = (self.counts, self.logm, *itertools.chain(*sums))
         self.moves = [
             tuple((s1, h, x1, xh) for (s1, h), (x1, xh) in zip(sums, z))
@@ -207,12 +201,15 @@ class _GibbsState:
         for i, (moves, u) in enumerate(zip(self.moves, us)):
             s = labels[i]
             if s >= 0:  # rescore the slot left, or move the last cluster into it
-                counts[s] -= 1
+                n = counts[s] = counts[s] - 1
                 for s1, h, x1, xh in moves:
                     s1[s] -= x1
                     h[s] -= xh
-                if counts[s]:
-                    logm[s] = model.log_marginal(counts[s], self.sums, s)
+                if n:  # its log marginal, summed as the seat weights are
+                    t, gn = 0.0, g[n - 1]
+                    for s1, h, _, _ in moves:
+                        t += log(h[s] - s1[s] * s1[s] * gn)
+                    logm[s] = pre[n - 1] - a_n[n - 1] * t
                 else:
                     last = len(counts) - 2
                     for column in self.columns:

@@ -27,11 +27,13 @@ every draw, is Σ_{A in u} G(A) with G(A) = Σ_c mult(c) f(|A ∩ c|): c runs
 over the distinct clusters of the chain and mult(c) counts the draws that
 hold c.  So G is scored once per distinct cluster, however many draws
 share it, from float32 products of tiles of cluster indicators of at most
-``TILE_CELLS`` cells, walked with J >= I; for N <= 255 each column of
-tile J packs two clusters, z + (N + 1) z', whose counts stay exact (cells
-<= N (N + 2) < 2^24) at half the multiply-adds.  The scan is still
-quadratic, in the number of distinct clusters.  For the Binder loss and
-the lower bound each draw's own-cluster similarity mass is read from
+``TILE_CELLS`` cells; for N <= 255 each column of tile J packs two
+clusters, z + (N + 1) z', whose counts stay exact (cells <= N (N + 2) <
+2^24) at half the multiply-adds.  Ordered by the cluster of the last draw
+that holds most of their items, two tiles share few items: each product
+runs over those alone, and a pair sharing none is skipped.  The scan is
+still quadratic, in the number of distinct clusters.  For the Binder loss
+and the lower bound each draw's own-cluster similarity mass is read from
 ``P Z``, over chunks of item-by-cluster indicators ``Z`` of at most
 ``TILE_CELLS`` cells.  Every draw within ``CERTIFY_MARGIN`` of the
 smallest scanned loss is shortlisted; the shortlist alone is reduced to
@@ -345,18 +347,19 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     The sum splits by u's clusters A into Σ_{A in u} G(A), with
     G(A) = Σ_c mult(c) f(|A ∩ c|) over the distinct clusters c of the
     chain and mult(c) the number of draws holding c.  So each distinct
-    cluster is found once, as an item bitmask packed from the bool
-    cluster-by-item indicator of a chunk of draws, and G is scored once
-    per distinct cluster.  A one-item cluster has G = 0 and adds nothing
-    to any other, since f(0) = f(1) = 0, so only larger clusters enter
-    the products.  Those are cut into tiles of d w clusters, w =
-    isqrt(TILE_CELLS // d), whose counts are one float32 product of tile
-    I's indicators and tile J's packed d to a column: z_2q + (N + 1) z_2q+1
-    at d = 2, when the decode table's (N + 1)^2 rows fit 2^16 (N <= 255).
-    A cell v <= N (N + 2) < 2^24 is exact; its intp cast picks table row
-    v, f(v mod (N + 1)) and f(v div (N + 1)).  Only tiles with J >= I are
-    walked: an off-diagonal tile also adds to tile J, weighted by the
-    clusters of tile I.
+    cluster is found once, as a packed item bitmask, and G is scored once
+    per distinct cluster.  One-item clusters add nothing, f(0) = f(1) = 0,
+    and stay out.  The others are stably sorted by the last draw's cluster
+    of most of their items, and cut into tiles of d w clusters,
+    w = isqrt(TILE_CELLS // d), held item by item.  No item outside those
+    both tiles hold is in a cluster of either: a pair sharing none is
+    skipped, and the counts of any other are one float32 product over the
+    shared items of tile I's indicators and tile J's packed d to a column:
+    z_2q + (N + 1) z_2q+1 at d = 2, when the decode table's (N + 1)^2 rows
+    fit 2^16 (N <= 255).  A cell v <= N (N + 2) < 2^24 is exact; its intp
+    cast picks table row v, f(v mod (N + 1)) and f(v div (N + 1)).  Tile
+    J, packed once, is the outer loop and tiles I <= J the inner: an
+    off-diagonal pair also adds to tile J, weighted by tile I's clusters.
     """
     n, items, ptr = draws.n, np.arange(draws.n), draws._cellptr
     clusters = np.empty((int(ptr[-1]), (n + 7) // 8), np.uint8)
@@ -366,7 +369,14 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
         clusters[ptr[lo]:ptr[lo] + k] = np.packbits(z, axis=1)
     index, inverse, mult = _unique_rows(clusters)
     big = np.flatnonzero(draws._cluster_sizes_flat[index] > 1)
-    z, w = clusters[index[big]], mult[big].astype(np.float64)
+    last = np.zeros((n, int(draws.draws[-1].max()) + 1), np.float32)
+    last[items, draws.draws[-1]] = 1
+    key, step = np.empty(len(big), np.intp), max(1, TILE_CELLS // n)
+    for lo in range(0, len(big), step):  # the last draw's cluster of most items
+        z = np.unpackbits(clusters[index[big[lo:lo + step]]], axis=1, count=n)
+        key[lo:lo + step] = (z.astype(np.float32) @ last).argmax(axis=1)
+    big = big[np.argsort(key, kind="stable")]
+    w = mult[big].astype(np.float64)
     base = n + 1
     d = 2 if base * base <= 2**16 else 1  # clusters per column of tile J
     table = _xlogx(np.arange(base))[  # row v: f of each base-(N + 1) digit of v
@@ -374,16 +384,25 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     g = np.zeros(len(big))
     span = d * max(1, math.isqrt(TILE_CELLS // d))
     tiles = [slice(lo, lo + span) for lo in range(0, len(big), span)]
-    for i, ti in enumerate(tiles):
-        zi = np.unpackbits(z[ti], axis=1, count=n).astype(np.float32)
-        for tj in tiles[i:]:
-            zj = np.unpackbits(z[tj], axis=1, count=n).astype(np.float32)
-            for r in range(1, d):  # column q: clusters dq, ..., dq + d - 1
-                zj[:len(zj) - r:d] += base**r * zj[r::d]
-            cells = table.take((zi @ zj[::d].T).astype(np.intp), axis=0)
-            cells = cells.reshape(len(zi), -1)[:, :len(zj)]
+    by_item = [np.packbits(np.unpackbits(clusters[index[big[t]]], axis=1,
+                                         count=n).T, axis=1) for t in tiles]
+    held = [bits.any(axis=1) for bits in by_item]
+    for j, tj in enumerate(tiles):
+        nj = len(w[tj])
+        zj = np.unpackbits(by_item[j], axis=1, count=nj).astype(np.float32)
+        for r in range(1, d):  # column q: clusters dq, ..., dq + d - 1
+            zj[:, :nj - r:d] += base**r * zj[:, r::d]
+        zj = np.ascontiguousarray(zj[:, ::d])
+        for i, ti in enumerate(tiles[:j + 1]):
+            both = np.flatnonzero(held[i] & held[j])
+            if not len(both):
+                continue  # every cell is f(0) = 0
+            zi = np.unpackbits(by_item[i][both], axis=1, count=len(w[ti])).T
+            cells = table.take((zi.astype(np.float32) @ zj[both]).astype(np.intp),
+                               axis=0)
+            cells = cells.reshape(len(zi), -1)[:, :nj]
             g[ti] += cells @ w[tj]
-            if tj is not ti:
+            if i != j:
                 g[tj] += w[ti] @ cells
             del cells  # before the next pair's cells are taken
     per_cluster = np.zeros(len(index))

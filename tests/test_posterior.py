@@ -546,6 +546,23 @@ def odd_cluster_draws(rng):
     return draws
 
 
+def split_block_draws(rng):
+    """Items 0-11 and 12-23 are clustered apart in every draw, each block by
+    its own CRP, so no cluster holds items of both blocks."""
+    rows = [crp_row(rng, 12) + [12 + x for x in crp_row(rng, 12)]
+            for _ in range(80)]
+    return DrawMatrix(np.asarray(rows))
+
+
+def with_last_draw(row):
+    """A posterior of 60 random draws over 15 items, ``row`` the last."""
+    def posterior(rng):
+        rows = synthetic_draws(rng, 15, 60).draws.copy()
+        rows[-1] = row
+        return DrawMatrix(rows)
+    return posterior
+
+
 def spread_posterior(seed, n, m):
     """Five base clusters; each draw moves 6 random items to any of 7
     labels, so nearly every draw and cluster is distinct."""
@@ -584,6 +601,7 @@ class TestScan:
             assert part == ref_part and loss == ref_loss
 
     @pytest.mark.parametrize("metric,estimator", ESTIMATES)
+    @pytest.mark.parametrize("cells", [1, 64, 2**30])
     @pytest.mark.parametrize("posterior", [
         shared_cluster_draws,
         lambda rng: synthetic_draws(rng, 13, 50, support=20),
@@ -594,11 +612,22 @@ class TestScan:
         # holds one cluster per column; up to 255 it packs two
         lambda rng: synthetic_draws(rng, 256, 30, support=12),
         odd_cluster_draws,
+        # the exact-VI scan sorts the clusters by the last draw's cluster of
+        # most of their items and multiplies each tile pair over the items
+        # both tiles hold.  Split blocks leave tile pairs with no item in
+        # common, which are skipped (1 and 64 cells); a last draw of one
+        # cluster gives every cluster the same key, and one of singletons
+        # gives N keys
+        split_block_draws,
+        with_last_draw(np.zeros(15, int)),
+        with_last_draw(np.arange(15)),
     ], ids=["shared-cluster", "n13", "n203", "all-singletons", "weighted",
-            "n256-one-per-column", "odd-last-column"])
+            "n256-one-per-column", "odd-last-column", "split-blocks",
+            "last-one-cluster", "last-singletons"])
     def test_scan_and_best_draw_match_the_estimator(
-        self, rng, metric, estimator, posterior
+        self, rng, monkeypatch, metric, estimator, cells, posterior
     ):
+        monkeypatch.setattr(postclust.posterior, "TILE_CELLS", cells)
         draws = posterior(rng)
         scanned = _scanned_losses(draws, metric, estimator)
         exact = [expected_loss(draws.row(u), draws, metric, estimator)
@@ -629,16 +658,20 @@ class TestScan:
     def test_memory_stays_within_tiles(self):
         # the draws hold about 7000 distinct clusters: a product of all of
         # them against all would take some 190 MiB, and unpacking all their
-        # indicators at once (5.5 MiB of float32) takes the peak past 8 MiB
-        draws = spread_posterior(0, 200, 2000)
-        draws._row_xlogx  # the per-draw statistics every estimator shares
-        tracemalloc.start()
-        try:
-            _scanned_losses(draws, Metric.VI, "exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # indicators at once (5.5 MiB of float32) takes the peak past 8 MiB.
+        # With a last draw of 200 singletons, a table of every cluster's
+        # votes for each cluster of the last draw would pass 8 MiB too
+        spread = spread_posterior(0, 200, 2000)
+        for draws in (spread, DrawMatrix(np.vstack([spread.draws[:-1],
+                                                    np.arange(200)]))):
+            draws._row_xlogx  # the per-draw statistics every estimator shares
+            tracemalloc.start()
+            try:
+                _scanned_losses(draws, Metric.VI, "exact")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestArgminConsistency:
