@@ -12,8 +12,13 @@ are integers below 2^24, so the sum is exact.
 Loss estimators:
 
 * ``expected_binder`` -- exact posterior expectation of the N-invariant
-  pair-counting loss at a candidate partition, a linear functional of the
-  similarity matrix.
+  pair-counting loss at a candidate partition, s_ij = 1 where it joins
+  items i and j: (1/N^2) Σ_ij |s_ij - p_ij| = (1/N^2) (Σ_ij p_ij +
+  Σ_A |A|^2 - 2 Σ_i mass_i), A its clusters, mass_i = Σ_j s_ij p_ij.  The
+  estimator takes the first form elementwise and the scan below the
+  second; ``draw_distances`` takes it through contingency counts, with
+  draw u's co-clustering S_u in place of P; ``search._binder_gains`` is
+  its change along one lattice edge.
 * ``expected_vi`` -- exact posterior expectation of the variation of
   information, the empirical mean of the distance to every draw.
 * ``expected_vi_lower`` -- Jensen lower bound of ``expected_vi``: every
@@ -33,18 +38,18 @@ clusters, z + (N + 1) z', whose counts stay exact (cells <= N (N + 2) <
 that holds most of their items, two tiles share few items: each product
 runs over those alone, and a pair sharing none is skipped.  The scan is
 still quadratic, in the number of distinct clusters.  For the Binder loss
-and the lower bound each draw's own-cluster similarity mass is read from
-``P Z``, over chunks of item-by-cluster indicators ``Z`` of at most
-``TILE_CELLS`` cells.  Every draw within ``CERTIFY_MARGIN`` of the
-smallest scanned loss is shortlisted; the shortlist alone is reduced to
-its distinct partitions (``_unique_rows``), each at its first draw, and
-rescored by ``expected_loss``, so the result is that of scoring each draw
-with the estimator, bit for bit.
+and the lower bound each draw's own masses are read from ``P Z``, over
+chunks of item-by-cluster indicators ``Z`` of at most ``TILE_CELLS``
+cells.  Every draw within ``CERTIFY_MARGIN`` of the smallest scanned loss
+is shortlisted; the shortlist alone is reduced to its distinct partitions
+(``_unique_rows``), each at its first draw, and rescored by
+``expected_loss``, so the result is that of scoring each draw with the
+estimator, bit for bit.
 """
 
 import math
 import warnings
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -226,12 +231,6 @@ def _check_candidate(candidate: Partition, n: int):
         )
 
 
-def _check_similarity(candidate: Partition, psm: np.ndarray):
-    if np.shape(psm) != (candidate.n_items,) * 2:
-        raise ValueError(f"similarity matrix of shape {np.shape(psm)} does "
-                         f"not fit a candidate of {candidate.n_items} items")
-
-
 def _check_estimator(metric: Metric, estimator: str):
     """The one check of a (metric, estimator) pair."""
     _check_metric(metric)
@@ -243,28 +242,17 @@ def _check_estimator(metric: Metric, estimator: str):
 
 
 def expected_binder(candidate: Partition, psm: np.ndarray) -> float:
-    """Posterior expected N-invariant pair-counting loss of ``candidate``.
-
-    Exact given the N x N similarity matrix ``psm``: every co-clustered
-    candidate pair contributes 1 - p, every separated pair contributes p.
-    """
-    _check_similarity(candidate, psm)
+    """Posterior expected N-invariant pair-counting loss of ``candidate``,
+    exact given the N x N similarity matrix ``psm``: (1/N^2) Σ_ij
+    |s_ij - p_ij|, summed over one N x N float64 temporary."""
     n = candidate.n_items
+    if np.shape(psm) != (n, n):
+        raise ValueError(f"similarity matrix of shape {np.shape(psm)} does "
+                         f"not fit a candidate of {n} items")
     labels = np.asarray(candidate.labels)
-    upper = _upper_pairs(n)
-    p = psm[upper]
-    s = (labels[:, None] == labels[None, :])[upper]
-    return 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (n * n)
-
-
-@lru_cache(maxsize=4)
-def _upper_pairs(n: int) -> np.ndarray:
-    """The N x N mask of the item pairs i < j, which it picks row by row:
-    the order of ``np.triu_indices(n, 1)``.  Cached, so read-only; one
-    byte per cell, a quarter of an int64 index of the pairs."""
-    upper = np.triu(np.ones((n, n), bool), 1)
-    upper.setflags(write=False)
-    return upper
+    x = (labels[:, None] == labels[None, :]) - psm
+    np.abs(x, out=x)
+    return float(x.sum()) / (n * n)
 
 
 def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
@@ -278,9 +266,7 @@ def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
     return ((a + b * draws.m - 2.0 * j_total) / draws.m) / draws.n
 
 
-def expected_vi_lower(
-    candidate: Partition, psm: np.ndarray, draws: DrawMatrix
-) -> float:
+def expected_vi_lower(candidate: Partition, draws: DrawMatrix) -> float:
     """Jensen lower bound of the posterior expected variation of information.
 
     With ``c_n`` the cluster of item n in a draw, ``ĉ_n`` its cluster in
@@ -290,7 +276,7 @@ def expected_vi_lower(
           + (1/N) Σ_n [log2|ĉ_n| - 2 log2 Σ_{n' ∈ ĉ_n} p_nn'].
 
     Jensen moves the expectation inside the logarithm of the joint term
-    only, so every candidate-dependent term needs just ``psm``; the first
+    only, so every candidate-dependent term needs just ``p``; the first
     term is one per-posterior scalar, taken exactly from ``draws``.  The
     value is at most ``expected_vi`` on the same posterior and equals it
     for a degenerate posterior.  The gap depends on the candidate, so the
@@ -298,10 +284,10 @@ def expected_vi_lower(
     the first term as well, giving ``(1/N) Σ_n log2 Σ_n' p_nn'``, bounds
     that term from above and would no longer give a lower bound.
     """
-    _check_similarity(candidate, psm)
     _check_candidate(candidate, draws.n)
     labels = np.asarray([candidate.labels])
-    _, log_mass = _scan_own_mass(labels, np.array([0, candidate.k]), psm)
+    _, log_mass = _scan_own_mass(labels, np.array([0, candidate.k]),
+                                 draws.similarity)
     sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels[0]]
     a = float(draws._row_xlogx.sum()) / draws.m
     return float(a + np.log2(sizes).sum() - 2.0 * log_mass[0]) / candidate.n_items
@@ -330,14 +316,14 @@ def expected_loss(
     estimator: str = "exact",
     psm: np.ndarray | None = None,
 ) -> float:
-    """Dispatch to the configured posterior expected-loss estimator."""
+    """Dispatch to the configured posterior expected-loss estimator; a
+    given ``psm`` stands in for ``draws.similarity`` in the Binder loss."""
     _check_estimator(metric, estimator)
-    if metric is Metric.VI and estimator == "exact":
-        return expected_vi(candidate, draws)
-    psm = draws.similarity if psm is None else psm
     if metric is Metric.BINDER:
-        return expected_binder(candidate, psm)
-    return expected_vi_lower(candidate, psm, draws)
+        return expected_binder(candidate, draws.similarity if psm is None else psm)
+    if estimator == "exact":
+        return expected_vi(candidate, draws)
+    return expected_vi_lower(candidate, draws)
 
 
 def _scan_joint(draws: DrawMatrix) -> np.ndarray:
@@ -456,9 +442,7 @@ def _scanned_losses(draws: DrawMatrix, metric: Metric,
     psm = draws.similarity
     mass, log_mass = _scan_own_mass(draws.draws, draws._cellptr, psm)
     if metric is Metric.BINDER:
-        pairs = (psm.sum() - n) / 2.0  # Σ_{i<j} p_ij
-        same = (draws._row_sum(np.square) - n) / 2.0  # co-clustered pairs
-        return 2.0 * (pairs + same - (mass - n)) / (n * n)
+        return (psm.sum() + draws._row_sum(np.square) - 2.0 * mass) / (n * n)
     return (a / m + b - 2.0 * log_mass) / n
 
 

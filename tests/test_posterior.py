@@ -2,6 +2,8 @@ import io
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from postclust import (
 
 import postclust.posterior
 from postclust.partition import _canonical_rows
-from postclust.posterior import _scanned_losses, _unique_rows, _upper_pairs
+from postclust.posterior import _scanned_losses, _unique_rows
 
 from conftest import (all_partitions, canonical_labels, crp_row,
                       synthetic_draws)
@@ -271,9 +273,7 @@ class TestSimilarityMatrix:
         c, psm = canonicalize([0, 0, 1, 1, 1]), np.full(shape, 0.5)
         for estimate in (
             lambda: expected_binder(c, psm),
-            lambda: expected_vi_lower(c, psm, draws),
             lambda: expected_loss(c, draws, Metric.BINDER, "exact", psm),
-            lambda: expected_loss(c, draws, Metric.VI, "lower-bound", psm),
         ):
             with pytest.raises(ValueError, match="similarity matrix"):
                 estimate()
@@ -313,27 +313,27 @@ class TestExpectedBinder:
         with pytest.raises(ValueError):
             expected_binder(one_cluster(4), similarity_matrix(draws))
 
-    @pytest.mark.parametrize("n", [1, 2, 37])
-    def test_equals_the_triu_indices_formula(self, rng, n):
-        # the cached pair mask picks in the order of triu_indices, so the
-        # sum, and every bit of the loss, is that of the formula
-        psm = similarity_matrix(synthetic_draws(rng, n, 30))
-        iu = np.triu_indices(n, 1)
-        for _ in range(20):
-            cand = canonicalize(rng.integers(0, 5, size=n).tolist())
-            labels = np.asarray(cand.labels)
-            p = psm[iu]
-            s = (labels[:, None] == labels[None, :])[iu]
-            formula = 2.0 * float(np.where(s, 1.0 - p, p).sum()) / (n * n)
-            assert expected_binder(cand, psm) == formula
-
-    def test_cached_pair_mask_is_read_only(self):
-        upper = _upper_pairs(5)
-        assert np.flatnonzero(upper).tolist() == [1, 2, 3, 4, 7, 8, 9, 13,
-                                                  14, 19]
-        assert _upper_pairs(5) is upper
-        with pytest.raises(ValueError, match="read-only"):
-            upper[0] = 0
+    @pytest.mark.parametrize("n", [1, 2, 37, 200])
+    def test_within_four_ulps_of_the_exact_rational(self, rng, n):
+        # the loss is Σ_m Σ_ij |s_ij - s^m_ij| / (M N^2), and the inner sum
+        # is the integer Σ_A |A|^2 + Σ_B |B|^2 - 2 Σ_AB |A ∩ B|^2 over the
+        # clusters A of the candidate and B of draw m
+        draws = (spread_posterior(0, n, 100) if n == 200
+                 else synthetic_draws(rng, n, 30))
+        psm = similarity_matrix(draws)
+        cands = [canonicalize(rng.integers(0, 5, size=n).tolist())
+                 for _ in range(10)]
+        cands += [part_of_row(draws, m) for m in range(0, draws.m, 10)]
+        for cand in cands:
+            pairs = 0
+            for row in draws.draws.tolist():
+                cells = Counter(zip(cand.labels, row))
+                pairs += (sum(a * a for a in cand.sizes)
+                          + sum(b * b for b in Counter(row).values())
+                          - 2 * sum(x * x for x in cells.values()))
+            exact = Fraction(pairs, draws.m * n * n)
+            error = abs(Fraction(expected_binder(cand, psm)) - exact)
+            assert error <= 4 * Fraction(np.spacing(float(exact)))
 
 
 class TestExpectedVi:
@@ -373,8 +373,7 @@ class TestExpectedViLower:
     def test_degenerate_posterior_tight(self):
         c = canonicalize([0, 1, 1, 2, 2])
         draws = DrawMatrix(np.tile(np.array(c.labels), (6, 1)))
-        psm = similarity_matrix(draws)
-        assert expected_vi_lower(c, psm, draws) == pytest.approx(0.0, abs=TOL)
+        assert expected_vi_lower(c, draws) == pytest.approx(0.0, abs=TOL)
         assert expected_vi(c, draws) == pytest.approx(0.0, abs=TOL)
 
     def test_two_draw_posterior_hand_value(self):
@@ -383,9 +382,8 @@ class TestExpectedViLower:
         # diagonal and 0.5 elsewhere; for the one-cluster candidate each
         # item sees mass 1 + 3 * 0.5, giving log2(4) - 2 * log2(2.5) per item
         draws = DrawMatrix(np.array([[0, 0, 0, 0], [0, 1, 2, 3]]))
-        psm = similarity_matrix(draws)
         expect = 1.0 + math.log2(4) - 2 * math.log2(1 + 3 * 0.5)
-        value = expected_vi_lower(one_cluster(4), psm, draws)
+        value = expected_vi_lower(one_cluster(4), draws)
         assert value == pytest.approx(expect, abs=TOL)
         assert value <= expected_vi(one_cluster(4), draws)
 
@@ -394,8 +392,7 @@ class TestExpectedViLower:
         # p_nn = 1, so the joint term is exact and the bound equals E[VI],
         # which is 1 bit for this posterior
         draws = DrawMatrix(np.array([[0, 0, 0, 0], [0, 1, 2, 3]]))
-        psm = similarity_matrix(draws)
-        value = expected_vi_lower(singletons(4), psm, draws)
+        value = expected_vi_lower(singletons(4), draws)
         assert value == pytest.approx(expected_vi(singletons(4), draws), abs=TOL)
         assert value == pytest.approx(1.0, abs=TOL)
 
@@ -403,14 +400,13 @@ class TestExpectedViLower:
         for _ in range(40):
             n = int(rng.integers(3, 9))
             draws = synthetic_draws(rng, n, int(rng.integers(2, 51)))
-            psm = similarity_matrix(draws)
             for cand in (
                 one_cluster(n),
                 singletons(n),
                 canonicalize(rng.integers(0, 3, size=n).tolist()),
                 part_of_row(draws, 0),
             ):
-                assert expected_vi_lower(cand, psm, draws) <= expected_vi(
+                assert expected_vi_lower(cand, draws) <= expected_vi(
                     cand, draws
                 ) + 1e-9
 
