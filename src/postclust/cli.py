@@ -9,7 +9,8 @@ inputs with the sha256 of each input file, the full parameter set
 (including the original argv) and the Python and numpy versions, so
 any artifact can be regenerated bit-for-bit.
 
-Exit codes: 0 on success, 2 on usage errors, 3 on data errors.
+Exit codes: 0 on success, 2 on usage errors, 3 on data errors or
+when memory runs out.
 """
 
 import argparse
@@ -373,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, argv)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a bare MemoryError() has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -51,6 +51,8 @@ class Dataset:
             raise ValueError("data must be a vector or a 2-D matrix")
         if pts.shape[0] < 2:
             raise ValueError("need at least 2 observations")
+        if pts.shape[1] == 0:
+            raise ValueError("data have no columns")
         if not np.isfinite(pts).all():
             raise ValueError("data contains non-finite values")
         self.points = pts
@@ -107,10 +109,12 @@ class _Model:
 
     def __init__(self, config: SamplerConfig, d: int, n_max: int):
         c, a = float(config.c), float(config.a)
-        self.mu0, self.b = (
-            np.broadcast_to(np.asarray(value, dtype=np.float64), (d,))
-            for value in (config.mu0, config.b)
-        )
+        for name in ("mu0", "b"):
+            value = np.asarray(getattr(config, name), dtype=np.float64).ravel()
+            if value.size not in (1, d):
+                raise ValueError(f"{name} holds {value.size} values; it must "
+                                 f"hold 1 or D = {d}, one per data column")
+            setattr(self, name, np.broadcast_to(value, (d,)))
         counts = np.arange(1, n_max + 1, dtype=np.float64)
         lgam = np.vectorize(math.lgamma)(a + counts / 2.0)
         # Size-dependent scalar part of the log marginal, per cluster count.

@@ -14,7 +14,6 @@ entropies and a Rand index of their own, written from the definitions.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,21 +78,20 @@ def binder(c: Partition, d: Partition) -> float:
     return (a_r + a_c - 2 * int((table**2).sum())) / (c.n_items * c.n_items)
 
 
-def merge_delta(sizes: tuple[int, int], n: int, metric: Metric) -> float:
+def merge_delta(sizes: tuple, n: int, metric: Metric) -> float | np.ndarray:
     """Distance cost of merging two clusters of the given sizes.
 
     The two partitions are nested, so this is also the cost of splitting
-    one cluster into parts of these sizes.
+    one cluster into parts of these sizes.  A pair of sizes gives a float;
+    a pair of equal-length integer arrays gives the array of pair costs.
     """
     _check_metric(metric)
-    ni, nj = sizes
+    ni, nj = np.asarray(sizes[0]), np.asarray(sizes[1])
     if metric is Metric.VI:
-        return (_int_xlogx(ni + nj) - _int_xlogx(ni) - _int_xlogx(nj)) / n
-    return 2.0 * ni * nj / (n * n)
-
-
-def _int_xlogx(v: int) -> float:
-    return v * math.log2(v) if v > 0 else 0.0
+        delta = (_xlogx(ni + nj) - _xlogx(ni) - _xlogx(nj)) / n
+    else:
+        delta = 2.0 * ni * nj / (n * n)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +133,6 @@ class Neighbors:
         return np.where(self.merge[t, None], merged, split)
 
 
-def _pair_deltas(first, second, n: int, metric: Metric) -> np.ndarray:
-    """``merge_delta((first[t], second[t]))`` for every t, one call per
-    distinct size pair, so each value has the bits of the scalar function."""
-    codes = np.asarray(first, dtype=np.int64) * (n + 1) + np.asarray(second)
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    table = np.array(
-        [merge_delta(divmod(int(code), n + 1), n, metric) for code in distinct]
-    )
-    return table[inverse.ravel()]
-
-
 def _split_parts(c: Partition,
                  metric: Metric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every covered partition ``closest_neighbors`` ranks, as (split
@@ -154,7 +141,7 @@ def _split_parts(c: Partition,
     larger one.  No two are the same partition.  The mask marks the piece
     without the cluster's first item.
     """
-    n = c.n_items
+    n, labels = c.n_items, np.asarray(c.labels)
     clusters, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     blocks = [np.zeros((0, n), dtype=bool)]
     for label, size in enumerate(c.sizes):
@@ -170,7 +157,7 @@ def _split_parts(c: Partition,
         else:
             moved = np.eye(size, dtype=bool)  # every single-item peel-off
         block = np.zeros((moved.shape[0], n), dtype=bool)
-        block[:, c.clusters[label]] = moved ^ moved[:, :1]
+        block[:, labels == label] = moved ^ moved[:, :1]
         blocks.append(block)
         clusters.append(np.full(moved.shape[0], label))
         # m, the count of items moved to the new cluster, sets the
@@ -178,7 +165,7 @@ def _split_parts(c: Partition,
         counts.append(moved.sum(axis=1))
     cluster, first = np.concatenate(clusters), np.concatenate(counts)
     second = np.asarray(c.sizes)[cluster] - first
-    return cluster, _pair_deltas(first, second, n, metric), np.concatenate(blocks)
+    return cluster, merge_delta((first, second), n, metric), np.concatenate(blocks)
 
 
 def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
@@ -208,7 +195,7 @@ def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
         raise ValueError("candidate budget l must be >= 1")
     n, sizes = c.n_items, np.asarray(c.sizes)
     a, b = np.triu_indices(c.k, 1)
-    m_delta = _pair_deltas(sizes[a], sizes[b], n, metric)
+    m_delta = merge_delta((sizes[a], sizes[b]), n, metric)
     m_pick = np.lexsort((a, b, m_delta))[:l]
 
     cluster, s_delta, part = _split_parts(c, metric)

@@ -75,6 +75,37 @@ def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("option", ["--mu0", "--b"])
+def test_hyperparameter_of_wrong_length_is_a_data_error(tmp_path, capsys,
+                                                        option):
+    data = tmp_path / "ok.csv"
+    data.write_text("1.0\n2.5\n3.0\n4.0\n")
+    code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
+                     "--iterations", "5", "--burn-in", "1", option, "1,2"])
+    assert code == 3  # D comes from the data
+    assert f"{option[2:]} holds 2 values" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+    assert not (tmp_path / "d.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 18.6 GiB for an array with shape "
+                 "(50000, 50000) and data type float64"),
+     "error: Unable to allocate 18.6 GiB"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch,
+                                               error, message):
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "load_draws", no_memory)
+    code = cli.main(["psm", str(tmp_path / "draws.csv"), str(tmp_path / "p.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_metric_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", str(tmp_path / "draws.csv"), "--metric", "rand"])

@@ -86,8 +86,14 @@ class TestLogMarginal:
     (lambda: log_marginal([], SamplerConfig()), "empty cluster"),
     (lambda: simulate_example("example3", 10), "unknown example"),
     (lambda: simulate_example("example1", 3), "n >= 4"),
+    (lambda: gibbs_run(Dataset([0.1, 0.5, 0.9]),
+                       SamplerConfig(mu0=[1.0, 2.0], iterations=2)),
+     "mu0 holds 2 values; it must hold 1 or D = 1"),
+    (lambda: log_marginal(np.ones((3, 2)), SamplerConfig(b=[1.0, 2.0, 3.0])),
+     "b holds 3 values; it must hold 1 or D = 2"),
+    (lambda: Dataset(np.ones((3, 0))), "no columns"),
 ], ids=["3-D data", "one observation", "no points", "unknown example",
-        "n below 4"])
+        "n below 4", "mu0 of wrong length", "b of wrong length", "no columns"])
 def test_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

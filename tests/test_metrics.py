@@ -192,6 +192,21 @@ class TestMoveDeltas:
                 dist_fn(metric)(c, merged), abs=TOL
             )
 
+    @pytest.mark.parametrize("metric", BOTH)
+    @pytest.mark.parametrize("n", [2, 7, 40, 150])
+    def test_arrays_give_the_scalar_values(self, metric, n):
+        first, second = np.triu_indices(n + 1)  # first <= second
+        keep = (first >= 1) & (first + second <= n)
+        first, second = first[keep], second[keep]
+        for x, y in ((first, second), (second, first)):  # both orders
+            deltas = merge_delta((x, y), n, metric)
+            assert isinstance(deltas, np.ndarray)
+            assert deltas.tolist() == [merge_delta((i, j), n, metric)
+                                       for i, j in zip(x.tolist(), y.tolist())]
+        assert type(merge_delta((1, n - 1), n, metric)) is float
+        empty = merge_delta((np.array([], int), np.array([], int)), n, metric)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
 
 class TestClosestNeighbors:
     def test_all_singleton_merges(self):
