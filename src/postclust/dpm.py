@@ -34,8 +34,8 @@ import numpy as np
 from .partition import Partition, canonicalize
 from .posterior import DrawMatrix
 
-__all__ = ["Dataset", "SamplerConfig", "log_marginal", "crp_log_prior",
-           "gibbs_run", "simulate_example", "load_galaxy"]
+__all__ = ["Dataset", "SamplerConfig", "gibbs_run", "simulate_example",
+           "load_galaxy"]
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -94,6 +94,10 @@ class SamplerConfig:
             if value is None:
                 continue
             value = np.asarray(value, dtype=np.float64)
+            if name in ("c", "a", "alpha0") and value.ndim:
+                raise ValueError(f"{name} must be a single number")
+            if name == "alpha_prior" and value.shape != (2,):
+                raise ValueError("alpha_prior must be a (shape, rate) pair")
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
             if name != "mu0" and (value <= 0).any():
@@ -127,28 +131,9 @@ class _Model:
         self.a_n = (a + counts / 2.0).tolist()
         self.g = (0.5 / (c + counts)).tolist()
 
-    def item_stats(self, points: np.ndarray) -> list:
-        """Per item and dimension, the pair [x - mu0, (x - mu0)**2 / 2]."""
-        x = points - self.mu0
-        return np.stack([x, 0.5 * x * x], axis=-1).tolist()
-
-
-def log_marginal(cluster_points, config: SamplerConfig) -> float:
-    """Exact log marginal likelihood of one cluster's observations."""
-    pts = np.asarray(cluster_points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        raise ValueError("empty cluster")
-    model = _Model(config, pts.shape[1], pts.shape[0])
-    s1, half_s2 = np.sum(model.item_stats(pts), axis=0).T
-    n, t = pts.shape[0], 0.0  # the sampler's formula, per dimension
-    for s, h in zip(s1.tolist(), (half_s2 + model.b).tolist()):
-        t += math.log(h - s * s * model.g[n - 1])
-    return model.prefactor[n - 1] - model.a_n[n - 1] * t
-
 
 def _crp_log_prior(sizes: Sequence[int], alpha: float) -> float:
+    """Log prior mass of a partition with these cluster sizes under the CRP."""
     value = (
         math.lgamma(alpha)
         - math.lgamma(alpha + sum(sizes))
@@ -157,11 +142,6 @@ def _crp_log_prior(sizes: Sequence[int], alpha: float) -> float:
     for size in sizes:
         value += math.lgamma(size)
     return value
-
-
-def crp_log_prior(partition: Partition, alpha: float) -> float:
-    """Log prior mass of a partition under the CRP with the given mass."""
-    return _crp_log_prior(partition.sizes, alpha)
 
 
 class _GibbsState:
@@ -182,9 +162,10 @@ class _GibbsState:
         self.counts, self.logm = [0], [0.0]
         sums = [([0.0], [b]) for b in model.b.tolist()]
         self.columns = (self.counts, self.logm, *itertools.chain(*sums))
+        x = data.points - model.mu0  # per item and dimension, x and x**2 / 2
         self.moves = [
             tuple((s1, h, x1, xh) for (s1, h), (x1, xh) in zip(sums, z))
-            for z in model.item_stats(data.points)
+            for z in np.stack([x, 0.5 * x * x], axis=-1).tolist()
         ]
         # CRP weights by cluster size: log n, with log alpha at size 0.
         self.log_crp = np.log(np.maximum(np.arange(data.n + 1), 1.0)).tolist()

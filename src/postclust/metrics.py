@@ -103,8 +103,7 @@ class Neighbors:
     with a < b.  A split cuts cluster ``pair[t, 0]`` in two; ``part[t]``
     marks the piece that does not hold the cluster's first item, and is
     all False for a merge.  Only the source's labels are stored: ``rows(t)``
-    builds the canonical labels of candidates ``t`` from their moves, and
-    ``labels`` those of every candidate.
+    builds the canonical labels of candidates ``t`` from their moves.
     """
 
     source: np.ndarray  # (N,) int, the canonical labels moved from
@@ -115,11 +114,6 @@ class Neighbors:
 
     def __len__(self) -> int:
         return self.delta.shape[0]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """The (C, N) canonical labels of every candidate."""
-        return self.rows(np.arange(len(self)))
 
     def rows(self, t: np.ndarray) -> np.ndarray:
         """The canonical labels of the candidates at indices ``t``.  A split's

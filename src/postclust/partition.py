@@ -83,14 +83,6 @@ class Partition:
         """Cluster sizes, indexed by cluster label."""
         return tuple(np.bincount(self.labels).tolist())
 
-    @cached_property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """Item indices of each cluster, indexed by cluster label."""
-        members: list[list[int]] = [[] for _ in range(self.k)]
-        for i, lab in enumerate(self.labels):
-            members[lab].append(i)
-        return tuple(tuple(m) for m in members)
-
     def __str__(self) -> str:
         return ",".join(str(lab) for lab in self.labels)
 

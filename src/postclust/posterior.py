@@ -67,7 +67,12 @@ CERTIFY_MARGIN = 1e-9  # scanned-loss window rescored by the public estimator
 
 
 class DrawMatrix:
-    """M posterior partition samples of the same N items, rows canonical."""
+    """M posterior partition samples of the same N items, rows canonical.
+
+    Rows keep the order they are given in.  The search's ``init="last"``
+    starts from the last row and ``best_sampled`` breaks ties by the first
+    occurrence, so the rows should be one chain in sweep order.
+    """
 
     def __init__(self, draws):
         a = np.asarray(draws)
@@ -163,7 +168,8 @@ def load_draws(source) -> DrawMatrix:
     ``ValueError`` names the first bad data row N, counted from 1 without
     the skipped lines: "empty draw file" if no row is left, "non-integer
     label in row N" if a label is not an int64 integer, and "ragged row N"
-    if row N holds a different number of labels than row 1.
+    if row N holds a different number of labels than row 1.  The rows keep
+    the file's order (see ``DrawMatrix``).
     """
     text = (source.read() if hasattr(source, "read")
             else Path(source).read_text(encoding="utf-8")).removeprefix("\ufeff")

@@ -161,7 +161,8 @@ def neighbor_list(moves) -> list[tuple[tuple[int, ...], str, float]]:
     return [
         (tuple(row), "merge-up" if up else "split-down", delta)
         for row, up, delta in zip(
-            moves.labels.tolist(), moves.merge.tolist(), moves.delta.tolist()
+            moves.rows(np.arange(len(moves))).tolist(), moves.merge.tolist(),
+            moves.delta.tolist(),
         )
     ]
 
@@ -193,7 +194,8 @@ def reference_neighbors(
             splits[cand] = (cand, "split-down",
                             merge_delta(sizes, c.n_items, metric))
 
-    for members in c.clusters:
+    for label in range(c.k):
+        members = [i for i, lab in enumerate(c.labels) if lab == label]
         size = len(members)
         if size < 2:
             continue

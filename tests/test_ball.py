@@ -193,10 +193,8 @@ class TestBallBounds:
         # and that membership is metric-independent
         c = canonicalize([0, 0, 1, 1, 2])
         moves = closest_neighbors(c, Metric.VI, l=100)
-        nearest = {
-            Partition(tuple(row))
-            for row in moves.labels[moves.delta - moves.delta.min() < 1e-12].tolist()
-        }
+        tied = np.flatnonzero(moves.delta - moves.delta.min() < 1e-12)
+        nearest = {Partition(tuple(row)) for row in moves.rows(tied).tolist()}
         rows = [c.labels] * 10
         for p in sorted(nearest, key=lambda p: p.labels):
             rows.append(p.labels)

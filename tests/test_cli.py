@@ -336,11 +336,13 @@ def test_file_outputs_hold_what_they_promise(tmp_path):
     data, out, trace = (tmp_path / name for name in
                         ("data.csv", "d.csv", "trace.csv"))
     data.write_text("1.0\n2.5\n3.0\n4.0\n")
-    assert cli.main(["sample", str(data), str(out), "--iterations", "6",
-                     "--burn-in", "2", "--trace", str(trace)]) == 0
-    rows = trace.read_text().splitlines()
-    assert rows[0] == "sweep,clusters,alpha,log_joint"
-    assert len(rows) == 1 + 6
+    for extra in ([], ["--fixed-alpha", "--alpha0", "2.5"]):
+        assert cli.main(["sample", str(data), str(out), "--iterations", "6",
+                         "--burn-in", "2", "--trace", str(trace), *extra]) == 0
+        rows = list(csv.reader(trace.read_text().splitlines()))
+        assert rows[0] == ["sweep", "clusters", "alpha", "log_joint"]
+        assert len(rows) == 1 + 6
+    assert [float(row[2]) for row in rows[1:]] == [2.5] * 6  # alpha held fixed
 
 
 def test_estimate_manifest_hashes_an_init_file(tmp_path):

@@ -1,4 +1,9 @@
-"""Sampler checks: exact posterior, closed-form marginals, pinned chains."""
+"""Sampler checks: exact posterior, the trace's log joint, pinned chains.
+
+The sampler's log marginals are checked against ``sequential_predictive``
+and its CRP weights against ``crp_log_prior``, both written here from the
+definitions and sharing no code with the sampler.
+"""
 
 import hashlib
 import math
@@ -10,13 +15,11 @@ from postclust import (
     Dataset,
     SamplerConfig,
     canonicalize,
-    crp_log_prior,
     gibbs_run,
     load_galaxy,
-    log_marginal,
     simulate_example,
 )
-from postclust.dpm import _update_alpha
+from postclust.dpm import _GibbsState, _update_alpha
 
 from conftest import all_partitions, partition_index
 
@@ -51,49 +54,51 @@ def sequential_predictive(points, config):
     return total
 
 
-class TestLogMarginal:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_chain_rule(self, rng, d):
-        for _ in range(10):
-            n = int(rng.integers(1, 9))
-            pts = rng.normal(0.5, 2.0, size=(n, d))
-            config = SamplerConfig(
-                mu0=rng.normal(size=d).tolist() if d > 1 else 0.3,
-                c=float(rng.uniform(0.2, 3.0)),
-                a=float(rng.uniform(0.5, 4.0)),
-                b=rng.uniform(0.2, 3.0, size=d).tolist(),
-            )
-            got = log_marginal(pts if d > 1 else pts[:, 0], config)
-            assert got == pytest.approx(
-                sequential_predictive(pts, config), abs=1e-10
-            )
+def crp_log_prior(labels, alpha):
+    """Log CRP mass of a labelling: items are seated in order, item i
+    opening a cluster with probability alpha / (alpha + i) and joining one
+    of n items with probability n / (alpha + i)."""
+    seated, total = {}, 0.0
+    for i, lab in enumerate(labels):
+        n = seated.get(lab, 0)
+        total += math.log(n or alpha) - math.log(alpha + i)
+        seated[lab] = n + 1
+    return total
 
-    @pytest.mark.parametrize("shift", [1e3, -2.5e4])
-    def test_joint_shift_of_data_and_mu0(self, rng, shift):
-        pts = rng.normal(0.0, 1.5, size=(7, 2))
-        base = SamplerConfig(mu0=[0.2, -0.4], c=0.7, a=2.0, b=[1.0, 0.5])
-        moved = SamplerConfig(
-            mu0=[0.2 + shift, -0.4 + shift], c=0.7, a=2.0, b=[1.0, 0.5]
-        )
-        assert log_marginal(pts + shift, moved) == pytest.approx(
-            log_marginal(pts, base), rel=1e-9
-        )
+
+def log_joint(labels, points, config, alpha):
+    """CRP log prior plus every cluster's log marginal likelihood."""
+    labels = np.asarray(labels)
+    return crp_log_prior(labels.tolist(), alpha) + sum(
+        sequential_predictive(np.asarray(points)[labels == lab], config)
+        for lab in np.unique(labels)
+    )
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Dataset(np.zeros((3, 2, 2))), "vector or a 2-D matrix"),
     (lambda: Dataset([1.5]), "at least 2 observations"),
-    (lambda: log_marginal([], SamplerConfig()), "empty cluster"),
     (lambda: simulate_example("example3", 10), "unknown example"),
     (lambda: simulate_example("example1", 3), "n >= 4"),
     (lambda: gibbs_run(Dataset([0.1, 0.5, 0.9]),
                        SamplerConfig(mu0=[1.0, 2.0], iterations=2)),
      "mu0 holds 2 values; it must hold 1 or D = 1"),
-    (lambda: log_marginal(np.ones((3, 2)), SamplerConfig(b=[1.0, 2.0, 3.0])),
+    (lambda: gibbs_run(Dataset(np.ones((3, 2))),
+                       SamplerConfig(b=[1.0, 2.0, 3.0], iterations=2)),
      "b holds 3 values; it must hold 1 or D = 2"),
     (lambda: Dataset(np.ones((3, 0))), "no columns"),
-], ids=["3-D data", "one observation", "no points", "unknown example",
-        "n below 4", "mu0 of wrong length", "b of wrong length", "no columns"])
+    (lambda: SamplerConfig(c=[0.5, 1.0]), "^c must be a single number"),
+    (lambda: SamplerConfig(a=[2.0]), "^a must be a single number"),
+    (lambda: SamplerConfig(alpha0=np.ones((1, 1))),
+     "alpha0 must be a single number"),
+    (lambda: SamplerConfig(alpha_prior=1.0),
+     r"alpha_prior must be a \(shape, rate\) pair"),
+    (lambda: SamplerConfig(alpha_prior=(1.0, 1.0, 1.0)),
+     r"alpha_prior must be a \(shape, rate\) pair"),
+], ids=["3-D data", "one observation", "unknown example",
+        "n below 4", "mu0 of wrong length", "b of wrong length", "no columns",
+        "c a list", "a a list", "alpha0 a matrix", "alpha_prior a number",
+        "alpha_prior of three"])
 def test_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -109,29 +114,34 @@ class TestExactPosterior:
             alpha_prior=None, iterations=5050, burn_in=50, seed=seed,
         )
 
-    def exact(self, config):
+    def total_variation(self, seed):
+        """Total variation between the chain's partition frequencies and
+        the exact posterior over all 52 partitions of the five points."""
+        config = self.config(seed)
         logp = np.array([
-            crp_log_prior(p, self.ALPHA)
-            + sum(
-                log_marginal([self.POINTS[i] for i in block], config)
-                for block in p.clusters
-            )
+            log_joint(p.labels, self.POINTS, config, self.ALPHA)
             for p in all_partitions(5)
         ])
-        probs = np.exp(logp - logp.max())
-        return probs / probs.sum()
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_total_variation_to_exact(self, seed):
-        config = self.config(seed)
+        exact = np.exp(logp - logp.max())
         draws = gibbs_run(Dataset(self.POINTS), config).draws
         index = partition_index(5)
         freq = np.bincount(
             [index[canonicalize(row.tolist()).labels] for row in draws],
             minlength=len(all_partitions(5)),
         ) / draws.shape[0]
-        tv = 0.5 * np.abs(freq - self.exact(config)).sum()
-        assert tv <= 0.06
+        return 0.5 * np.abs(freq - exact / exact.sum()).sum()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_total_variation_to_exact(self, seed):
+        assert self.total_variation(seed) <= 0.06
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_detects_a_dropped_log_alpha(self, monkeypatch, seed):
+        # a sampler that opens clusters at weight 1 instead of alpha fails
+        # the bound above by a wide margin
+        monkeypatch.setattr(_GibbsState, "set_alpha",
+                            lambda self, alpha: self.log_crp.__setitem__(0, 0.0))
+        assert self.total_variation(seed) > 0.1
 
 
 class TestAlphaUpdate:
@@ -190,12 +200,16 @@ class TestChainPin2D:
     D=2, gamma prior), recorded before the per-slot state moved from numpy
     arrays to Python floats; it pins the sum over dimensions."""
 
-    def test_chain_is_pinned(self):
+    @staticmethod
+    def chain():
         data = simulate_example("example2", 60, seed=0)[0]
-        config = SamplerConfig(
+        return data, SamplerConfig(
             mu0=data.points.mean(axis=0), c=0.5, a=2.0,
             b=data.points.var(axis=0, ddof=1), iterations=40, seed=1,
         )
+
+    def test_chain_is_pinned(self):
+        data, config = self.chain()
         assert _chain_sha(config, data) == (
             "1542efeffdefc4b9c101220e65314cc16f4fba5043b6ec104620d45a2128e68c"
         )
@@ -237,19 +251,35 @@ class TestChainPinLargeK:
 
 
 class TestTrace:
-    def test_log_joint_matches_a_fresh_evaluation(self):
-        data = load_galaxy()
-        config = SamplerConfig(**TestChainPin.base(), seed=2)
+    @pytest.mark.parametrize("chain", [
+        lambda: (load_galaxy(), SamplerConfig(**TestChainPin.base(), seed=2)),
+        TestChainPin2D.chain,
+    ], ids=["galaxy-d1", "example2-d2"])
+    def test_log_joint_matches_a_fresh_evaluation(self, chain):
+        data, config = chain()
         trace = []
         draws = gibbs_run(data, config, trace=trace)
-        sweep, k, alpha, log_joint = trace[-1]
-        last = draws.row(draws.draws.shape[0] - 1)
-        assert (sweep, k) == (config.iterations - 1, last.k)
-        fresh = crp_log_prior(last, alpha) + sum(
-            log_marginal(data.points[list(block)], config)
-            for block in last.clusters
+        sweep, k, alpha, logp = trace[-1]
+        last = draws.draws[-1]
+        assert (sweep, k) == (config.iterations - 1, len(set(last.tolist())))
+        assert logp == pytest.approx(
+            log_joint(last, data.points, config, alpha), rel=1e-9
         )
-        assert log_joint == pytest.approx(fresh, rel=1e-9)
+
+    @pytest.mark.parametrize("shift", [1e3, -2.5e4])
+    def test_joint_shift_of_data_and_mu0(self, rng, shift):
+        # the model sees only x - mu0: the same chain and log joints
+        pts = rng.normal(0.0, 1.5, size=(30, 2))
+        runs = []
+        for offset in (0.0, shift):
+            config = SamplerConfig(mu0=[0.2 + offset, -0.4 + offset], c=0.7,
+                                   a=2.0, b=[1.0, 0.5], iterations=20, seed=3)
+            trace = []
+            draws = gibbs_run(Dataset(pts + offset), config, trace=trace).draws
+            runs.append((draws, [row[3] for row in trace]))
+        (base, base_joint), (moved, moved_joint) = runs
+        np.testing.assert_array_equal(moved, base)
+        assert moved_joint == pytest.approx(base_joint, rel=1e-9)
 
 
 class TestSamplerConfig:

@@ -219,10 +219,8 @@ class TestClosestNeighbors:
         for metric in BOTH:
             moves = closest_neighbors(one_cluster(4), metric, l=20)
             assert not moves.merge.any()
-            nearest = {
-                tuple(row)
-                for row in moves.labels[moves.delta < moves.delta.min() + TOL].tolist()
-            }
+            tied = np.flatnonzero(moves.delta < moves.delta.min() + TOL)
+            nearest = {tuple(row) for row in moves.rows(tied).tolist()}
             peels = {
                 canonicalize(
                     [1 if i == j else 0 for i in range(4)]
@@ -259,6 +257,7 @@ class TestClosestNeighbors:
         for p in all_partitions(5):
             moves = closest_neighbors(p, Metric.VI, l=10**6)
             labels = np.asarray(p.labels)
+            rows = moves.rows(np.arange(len(moves)))
             for t in range(len(moves)):
                 a, b = moves.pair[t].tolist()
                 if moves.merge[t]:
@@ -267,11 +266,11 @@ class TestClosestNeighbors:
                 else:
                     assert b == -1
                     assert moves.part[t].any()
-                    assert not moves.part[t][p.clusters[a][0]]
+                    assert not moves.part[t][p.labels.index(a)]
                     assert (labels[moves.part[t]] == a).all()
                     moved = np.where(moves.part[t], p.k, labels)
                 assert canonicalize(moved.tolist()).labels == tuple(
-                    moves.labels[t].tolist()
+                    rows[t].tolist()
                 )
 
     def test_budget_truncates_each_direction(self):
@@ -283,7 +282,7 @@ class TestClosestNeighbors:
         c = canonicalize(list(range(3)) + [3] * 12)  # one big cluster
         a = closest_neighbors(c, Metric.VI, l=30)
         b = closest_neighbors(c, Metric.VI, l=30)
-        for field in ("labels", "delta", "merge", "pair", "part"):
+        for field in ("source", "delta", "merge", "pair", "part"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_extreme_partitions_one_sided(self):
@@ -296,8 +295,9 @@ class TestClosestNeighbors:
 
     @pytest.mark.parametrize("l", [1, 3, 40])
     def test_rows_build_the_moves(self, l):
-        # rows(t) is labels[t], and each row is the canonical form of its
-        # move: a merge's result covers the source, a split's is covered
+        # rows(t) picks rows t of all the candidates' labels, and each row
+        # is the canonical form of its move: a merge's result covers the
+        # source, a split's is covered
         rng = np.random.default_rng(11 + l)
         sources = [sized((1, 12, 3, 9)), singletons(1), one_cluster(6)]
         sources += [canonicalize(rng.integers(0, 5, 25).tolist())
@@ -305,7 +305,7 @@ class TestClosestNeighbors:
         for c in sources:
             for metric in BOTH:
                 moves = closest_neighbors(c, metric, l)
-                labels = moves.labels
+                labels = moves.rows(np.arange(len(moves)))
                 assert labels.shape == (len(moves), c.n_items)
                 subsets = [np.arange(0)]
                 if len(moves):
@@ -412,7 +412,7 @@ def predicted_closest_set(part, metric):
         )
 
     def split_peels(cluster_id):
-        members = part.clusters[cluster_id]
+        members = [i for i, lab in enumerate(part.labels) if lab == cluster_id]
         for idx in members:
             labels = list(part.labels)
             labels[idx] = part.k

@@ -48,7 +48,8 @@ def reference_search(draws, config):
             break
         part_loss, _, part = min(
             (expected_loss(p, draws, config.metric, config.estimator), p.labels, p)
-            for p in (Partition(tuple(row)) for row in moves.labels.tolist())
+            for p in (Partition(tuple(row))
+                      for row in moves.rows(np.arange(len(moves))).tolist())
         )
         if not part_loss < loss - IMPROVEMENT_TOL:
             break
@@ -277,7 +278,8 @@ class TestMoveDeltas:
                 moves = closest_neighbors(start, metric, 10**6)
                 deltas = _loss_deltas(start, moves, draws, config)
                 base = expected_loss(start, draws, metric, estimator)
-                for t, row in enumerate(moves.labels.tolist()):
+                rows = moves.rows(np.arange(len(moves))).tolist()
+                for t, row in enumerate(rows):
                     full = expected_loss(Partition(tuple(row)), draws, metric,
                                          estimator)
                     assert deltas[t] == pytest.approx(full - base, abs=1e-12)
