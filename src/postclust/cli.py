@@ -39,7 +39,7 @@ from .search import SearchConfig, SearchResult, greedy_search
 ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
 # SamplerConfig fields, spelled as the ``sample`` options that set them.
 SAMPLE_OPTIONS = {"mu0": "--mu0", "c": "--c", "a": "--a", "b": "--b",
-                  "alpha0": "--alpha0",
+                  "alpha0": "--alpha0", "seed": "--seed",
                   "alpha_prior": "--alpha-shape/--alpha-rate",
                   "burn_in": "--burn-in", "iterations": "--iterations"}
 SEARCH_OPTIONS = {"l": "--l", "max_iters": "--max-iters"}

@@ -102,6 +102,11 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be finite")
             if name != "mu0" and (value <= 0).any():
                 raise ValueError(f"{name} must be positive")
+        for name in ("iterations", "burn_in", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError(f"seed ({self.seed}) must be >= 0")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError(f"burn_in ({self.burn_in}) must be >= 0 and "
                              f"below iterations ({self.iterations})")

@@ -41,10 +41,9 @@ still quadratic, in the number of distinct clusters.  For the Binder loss
 and the lower bound each draw's own masses are read from ``P Z``, over
 chunks of item-by-cluster indicators ``Z`` of at most ``TILE_CELLS``
 cells.  Every draw within ``CERTIFY_MARGIN`` of the smallest scanned loss
-is shortlisted; the shortlist alone is reduced to its distinct partitions
-(``_unique_rows``), each at its first draw, and rescored by
-``expected_loss``, so the result is that of scoring each draw with the
-estimator, bit for bit.
+is shortlisted, and the shortlist alone is rescored by ``expected_loss``
+(``_certified_best``), so the result is that of scoring each draw with
+the estimator, bit for bit.
 """
 
 import math
@@ -459,18 +458,28 @@ def best_sampled(
 
     One scan scores every draw from shared statistics, in tiles of at most
     ``TILE_CELLS`` cells.  The draws within ``CERTIFY_MARGIN`` of the
-    smallest scanned loss form the shortlist; each distinct partition on
-    it, at its first draw in chain order, is rescored by
-    ``expected_loss``.  The scan is exact up to rounding far below the
-    margin, so the estimator's minimizer is always rescored.  Ties are
-    broken by first occurrence in the chain.  Returns the winning
-    partition together with its estimated loss.
+    smallest scanned loss form the shortlist, which ``_certified_best``
+    rescores and chooses from, in chain order.  The scan is exact up to
+    rounding far below the margin, so the estimator's minimizer is always
+    rescored.  Returns the winning partition together with its estimated
+    loss.
     """
     _check_estimator(metric, estimator)
     loss = _scanned_losses(draws, metric, estimator)
-    near = np.flatnonzero(loss <= loss.min() + CERTIFY_MARGIN)
-    first = np.sort(_unique_rows(draws.draws[near])[0])
-    shortlist = [draws.row(u) for u in near[first]]
-    rescored = [expected_loss(c, draws, metric, estimator) for c in shortlist]
-    best = int(np.argmin(rescored))
-    return shortlist[best], rescored[best]
+    near = draws.draws[loss <= loss.min() + CERTIFY_MARGIN]
+    return _certified_best(near, draws, metric, estimator)
+
+
+def _certified_best(rows: np.ndarray, draws: DrawMatrix, metric: Metric,
+                    estimator: str) -> tuple[Partition, float]:
+    """The certification rule, the one choice by the public estimator: of
+    canonical label ``rows`` in tie-break order, the first of least
+    ``expected_loss``, with that loss; each distinct row is scored once.
+    Draws tie by chain order (``best_sampled``), moves by labels (a greedy
+    step), and the search's ``last`` or explicit start is one row."""
+    first = np.sort(_unique_rows(rows)[0])
+    parts = [Partition(tuple(row)) for row in rows[first].tolist()]
+    _check_candidate(parts[0], draws.n)  # the Binder loss checks only P's shape
+    losses = [expected_loss(p, draws, metric, estimator) for p in parts]
+    best = losses.index(min(losses))
+    return parts[best], losses[best]

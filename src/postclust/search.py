@@ -30,9 +30,9 @@ Functions for Bayesian Clustering").
 The loss changes are exact up to rounding (below 1e-14 on the tests'
 posteriors), so the walk does not rely on them to choose.  Every
 candidate within ``CERTIFY_MARGIN`` of the smallest change is rescored by
-the public ``expected_loss`` estimator, and the choice among those is by
-(loss, canonical labels), as it would be if every candidate were scored
-by the estimator: the estimator's minimizer is always within the margin.
+the public estimator and chosen by ``posterior._certified_best``, ties to
+the smallest labels, as it would be if every candidate were scored by the
+estimator: the estimator's minimizer is always within the margin.
 Trajectories and losses are therefore those of full evaluation, bit for
 bit.
 """
@@ -44,8 +44,8 @@ import numpy as np
 from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
 from .posterior import (
-    CERTIFY_MARGIN, TILE_CELLS, DrawMatrix, _check_estimator, best_sampled,
-    expected_loss,
+    CERTIFY_MARGIN, TILE_CELLS, DrawMatrix, _certified_best, _check_estimator,
+    best_sampled,
 )
 
 __all__ = ["SearchConfig", "SearchResult", "greedy_search"]
@@ -72,10 +72,11 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_estimator(self.metric, self.estimator)
-        if self.l is not None and self.l < 1:
-            raise ValueError(f"l ({self.l}) must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters ({self.max_iters}) must be >= 1")
+        for name in ("l", "max_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1
+                    or name == "l" and value is None):
+                raise ValueError(f"{name} ({value!r}) must be an integer >= 1")
         if not (isinstance(self.init, Partition)
                 or isinstance(self.init, str) and self.init in ("best", "last")):
             raise ValueError("init must be 'best', 'last', or a Partition")
@@ -97,17 +98,6 @@ class SearchResult:
     iterations_used: int  # accepted moves
     trajectory: list[tuple[Partition, float]] = field(repr=False)
     stats: list[IterationStats] = field(default_factory=list, repr=False)
-
-
-def _pick_best(parts, draws: DrawMatrix,
-               config: SearchConfig) -> tuple[Partition, float]:
-    """The partition of smallest public expected loss, ties to the smallest
-    labels."""
-    loss, _, part = min(
-        (expected_loss(p, draws, config.metric, config.estimator), p.labels, p)
-        for p in parts
-    )
-    return part, loss
 
 
 def _pieces(c: Partition, moves: Neighbors, p: np.ndarray):
@@ -204,13 +194,8 @@ def _loss_deltas(c: Partition, moves: Neighbors, draws: DrawMatrix,
 def _initial(draws: DrawMatrix, config: SearchConfig) -> tuple[Partition, float]:
     if config.init == "best":
         return best_sampled(draws, config.metric, config.estimator)
-    if isinstance(config.init, Partition):
-        if config.init.n_items != draws.n:
-            raise ValueError("initial partition covers a different item count")
-        start = config.init
-    else:
-        start = draws.row(draws.m - 1)
-    return start, expected_loss(start, draws, config.metric, config.estimator)
+    start = draws.draws[-1] if config.init == "last" else config.init.labels
+    return _certified_best(np.array([start]), draws, config.metric, config.estimator)
 
 
 def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
@@ -237,10 +222,9 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
             break
         deltas = _loss_deltas(current, moves, draws, config)
         shortlist = np.flatnonzero(deltas <= deltas.min() + CERTIFY_MARGIN)
-        best_part, best_loss = _pick_best(
-            (Partition(tuple(row)) for row in moves.rows(shortlist).tolist()),
-            draws, config,
-        )
+        rows = np.array(sorted(moves.rows(shortlist).tolist()))  # ties to least labels
+        best_part, best_loss = _certified_best(rows, draws, config.metric,
+                                               config.estimator)
         improved = best_loss < current_loss - IMPROVEMENT_TOL
         direction = None
         if improved:

@@ -308,6 +308,15 @@ def test_pairclass_of_different_sizes_is_a_data_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_start_of_wrong_size_is_a_data_error(tmp_path, capsys):
+    draws, out = tmp_path / "draws.csv", tmp_path / "e.json"
+    pinned_draws(draws)  # 30 items
+    assert cli.main(["estimate", str(draws), "--init", "0,0,1",
+                     "--out", str(out)]) == 3
+    assert "candidate covers 3 items, posterior covers 30" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [draws]  # no result, no manifest
+
+
 def test_file_outputs_hold_what_they_promise(tmp_path):
     draws = tmp_path / "draws.csv"
     draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")

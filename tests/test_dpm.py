@@ -95,10 +95,16 @@ def log_joint(labels, points, config, alpha):
      r"alpha_prior must be a \(shape, rate\) pair"),
     (lambda: SamplerConfig(alpha_prior=(1.0, 1.0, 1.0)),
      r"alpha_prior must be a \(shape, rate\) pair"),
+    (lambda: SamplerConfig(iterations=2.5), "^iterations must be an integer"),
+    (lambda: SamplerConfig(iterations=10, burn_in=1.0),
+     "^burn_in must be an integer"),
+    (lambda: SamplerConfig(seed="1"), "^seed must be an integer"),
+    (lambda: SamplerConfig(seed=-1), r"^seed \(-1\) must be >= 0"),
 ], ids=["3-D data", "one observation", "unknown example",
         "n below 4", "mu0 of wrong length", "b of wrong length", "no columns",
         "c a list", "a a list", "alpha0 a matrix", "alpha_prior a number",
-        "alpha_prior of three"])
+        "alpha_prior of three", "iterations a float", "burn_in a float",
+        "seed a string", "negative seed"])
 def test_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -21,8 +21,8 @@ from postclust import (
     singletons,
 )
 
-from postclust.posterior import CERTIFY_MARGIN, _scanned_losses
-from postclust.search import IMPROVEMENT_TOL, _loss_deltas, _pick_best
+from postclust.posterior import CERTIFY_MARGIN, _certified_best, _scanned_losses
+from postclust.search import IMPROVEMENT_TOL, _loss_deltas
 
 from conftest import all_partitions, synthetic_draws
 
@@ -72,6 +72,12 @@ class TestConfigValidation:
             SearchConfig(metric=Metric.VI, l=0)
         with pytest.raises(ValueError):
             SearchConfig(metric=Metric.VI, max_iters=0)
+        # a non-integer is named, not left to fail inside the search
+        for name, value in (("l", 2.5), ("l", "2"), ("max_iters", "3"),
+                            ("max_iters", None), ("max_iters", 1.0)):
+            with pytest.raises(ValueError, match=f"^{name} .* must be an integer"):
+                SearchConfig(metric=Metric.VI, **{name: value})
+        SearchConfig(metric=Metric.VI, l=np.int64(2), max_iters=np.int32(3))
 
     def test_bad_init(self):
         # labels that are not a Partition would silently start from the
@@ -79,6 +85,15 @@ class TestConfigValidation:
         for init in ("first", [0, 0, 0, 0], (0, 0, 1), np.zeros(4, int)):
             with pytest.raises(ValueError, match="init must be"):
                 SearchConfig(metric=Metric.VI, init=init)
+
+    @pytest.mark.parametrize("metric, estimator", ESTIMATES)
+    def test_start_of_wrong_size(self, metric, estimator):
+        draws = DrawMatrix(np.array([[0, 0, 1, 1], [0, 1, 1, 1]]))
+        config = SearchConfig(metric=metric, estimator=estimator,
+                              init=one_cluster(3))
+        with pytest.raises(ValueError,
+                           match="^candidate covers 3 items, posterior covers 4$"):
+            greedy_search(draws, config)
 
 
 class TestGreedyDescent:
@@ -202,8 +217,8 @@ class TestGreedyDescent:
     def test_best_draw_comes_through_the_module_bindings(self, rng, monkeypatch):
         # the benchmark's tracer wraps postclust.search.best_sampled and
         # postclust.posterior.expected_loss: the search must find the start
-        # there, and best_sampled must certify its shortlist through the
-        # latter, one call per shortlisted draw
+        # there, and every certification, of best_sampled's shortlist and of
+        # each step's shortlisted moves, goes through the latter
         calls = {"best_sampled": 0, "expected_loss": 0}
         for module, name in ((postclust.search, "best_sampled"),
                              (postclust.posterior, "expected_loss")):
@@ -215,13 +230,16 @@ class TestGreedyDescent:
 
             monkeypatch.setattr(module, name, counted)
         draws = synthetic_draws(rng, 8, 40, support=6)
-        greedy_search(draws, SearchConfig(metric=Metric.VI, max_iters=1))
+        result = greedy_search(draws, SearchConfig(metric=Metric.VI, max_iters=1))
         assert calls["best_sampled"] == 1
-        # one call per distinct partition on the shortlist
+        # one call per distinct partition on the draws' shortlist, and one
+        # per shortlisted move of the one step
         scanned = _scanned_losses(draws, Metric.VI, "exact")
         near = draws.draws[scanned <= scanned.min() + CERTIFY_MARGIN]
         shortlist = len(np.unique(near, axis=0))
-        assert calls["expected_loss"] == shortlist >= 1
+        moves = result.stats[0].certified
+        assert calls["expected_loss"] == shortlist + moves
+        assert shortlist >= 1 and moves >= 1
 
     def test_iteration_without_candidates_is_recorded(self, monkeypatch):
         # one item: no merge and no split, so the walk stops at once
@@ -332,14 +350,17 @@ class TestPickBest:
     def test_nearest_candidate_wins_under_degenerate_posterior(self):
         # with all posterior mass on c, the expected loss of a candidate is
         # its distance to c, so the winner is the closest neighbor; ties go
-        # to the lexicographically smallest label sequence
+        # to the first row, here the lexicographically smallest labels
         c = canonicalize([0, 0, 1, 1])
         draws = DrawMatrix(np.tile(np.array(c.labels), (5, 1)))
-        cands = [p for p in all_partitions(4) if p != c]
+        cands = sorted(p.labels for p in all_partitions(4) if p != c)
         for metric in (Metric.VI, Metric.BINDER):
-            part, loss = _pick_best(cands, draws, SearchConfig(metric=metric))
+            part, loss = _certified_best(np.array(cands), draws, metric, "exact")
             assert part.labels == (0, 0, 1, 2)
             assert loss == expected_loss(part, draws, metric)
+            # in the reverse order the tie goes to the other nearest one
+            part, _ = _certified_best(np.array(cands[::-1]), draws, metric, "exact")
+            assert part.labels == (0, 1, 2, 2)
 
 
 class TestOracleAgreement:
