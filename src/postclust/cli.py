@@ -32,8 +32,7 @@ from .ball import ball_bounds, credible_ball
 from .dpm import Dataset, SamplerConfig, gibbs_run, simulate_example
 from .metrics import Metric, binder, vi
 from .partition import Partition
-from .posterior import (expected_binder, expected_vi, load_draws,
-                        similarity_matrix)
+from .posterior import draw_distances, expected_vi, load_draws
 from .search import SearchConfig, SearchResult, greedy_search
 
 ESTIMATORS = {"exact": "exact", "lb": "lower-bound"}
@@ -113,7 +112,7 @@ def _cmd_dist(args, argv) -> int:
 
 def _cmd_psm(args, argv) -> int:
     _check_writable(args.out)
-    psm = similarity_matrix(load_draws(args.draws))
+    psm = load_draws(args.draws).similarity
     np.savetxt(args.out, psm, fmt="%.17g", delimiter=",")
     _write_manifest(args.out, args, argv, [args.draws], [args.out])
     return 0
@@ -148,7 +147,7 @@ def _cmd_estimate(args, argv) -> int:
         "estimator": args.estimator,
         "expected_loss": result.expected_loss,
         "expected_binder": result.expected_loss if scored is Metric.BINDER
-        else expected_binder(optimum, similarity_matrix(draws)),
+        else float(draw_distances(optimum, draws, Metric.BINDER).mean()),
         "expected_vi": result.expected_loss if scored is Metric.VI
         else expected_vi(optimum, draws),
         "iterations_used": result.iterations_used,

@@ -15,10 +15,10 @@ Loss estimators:
   pair-counting loss at a candidate partition, s_ij = 1 where it joins
   items i and j: (1/N^2) Σ_ij |s_ij - p_ij| = (1/N^2) (Σ_ij p_ij +
   Σ_A |A|^2 - 2 Σ_i mass_i), A its clusters, mass_i = Σ_j s_ij p_ij.  The
-  estimator takes the first form elementwise and the scan below the
-  second; ``draw_distances`` takes it through contingency counts, with
-  draw u's co-clustering S_u in place of P; ``search._binder_gains`` is
-  its change along one lattice edge.
+  Binder search and certification read P: the estimator the first form,
+  the scan below the second, ``search._binder_gains`` its change along an
+  edge.  A VI estimate reports the mean of ``draw_distances`` (each draw's
+  co-clustering for P), which agrees with P's only to a few ulps.
 * ``expected_vi`` -- exact posterior expectation of the variation of
   information, the empirical mean of the distance to every draw.
 * ``expected_vi_lower`` -- Jensen lower bound of ``expected_vi``: every

@@ -21,11 +21,14 @@ j in Y for the Binder loss; (2/N) Σ_{n in U} log2(mass of n to U / mass
 of n to its own piece) for the VI lower bound, with ``p`` the
 similarity; and (2/NM) Σ_cells [f(x+y) - f(x) - f(y)], f(n) = n log2 n,
 over the draw cells holding x items of X and y of Y, for the exact VI.
-Whole clusters' masses are rows of one ``Z^T P`` and their counts are
-columns of the contingency counts against every draw; only a split's
-piece pays a product with ``P`` or a bincount.  This is how SALSO scores
-moves (Dahl, Johnson & Müller 2022, "Search Algorithms and Loss
-Functions for Bayesian Clustering").
+Whole clusters' masses are rows of R = Z p and their counts columns of
+the contingency counts against every draw.  The Binder gain of a merge
+is read from R Z^T and of a peel-off of i from U as R[U, i] - p_ii; any
+other split, of a cluster of at most ``EXHAUSTIVE_SPLIT_LIMIT`` items,
+pays a product with ``p`` over the items of the clusters cut, the lower
+bound's pieces one over all N items, and the exact VI's a bincount.
+This is how SALSO scores moves (Dahl, Johnson & Müller 2022, "Search
+Algorithms and Loss Functions for Bayesian Clustering").
 
 The loss changes are exact up to rounding (below 1e-14 on the tests'
 posteriors), so the walk does not rely on them to choose.  Every
@@ -122,10 +125,20 @@ def _pieces(c: Partition, moves: Neighbors, p: np.ndarray):
 
 
 def _binder_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
-    """(4/N^2) Σ p_ij over the item pairs i in X, j in Y."""
-    in_x, _, _, to_y = _pieces(c, moves, draws.similarity)
-    pairs = np.einsum("tn,tn->t", in_x.astype(np.float64), to_y)
-    return pairs * (4.0 / (c.n_items * c.n_items))
+    """(4/N^2) Σ p_ij over the item pairs i in X, j in Y, from R = Z p."""
+    p, z = draws.similarity, moves.source == np.arange(c.k)[:, None]
+    r = z @ p
+    gains = (r @ z.T)[tuple(moves.pair.T)]  # a split's, at b = -1, is replaced
+    s = np.flatnonzero(~moves.merge)
+    u, x = moves.pair[s, 0], moves.part[s]
+    y = z[u] & ~x  # the rest of the cluster cut
+    peel = np.minimum(x.sum(axis=1), y.sum(axis=1)) == 1  # i from U: R[U, i] - p_ii
+    i = np.where(x.sum(axis=1) == 1, x.argmax(axis=1), y.argmax(axis=1))[peel]
+    gains[s[peel]] = r[u[peel], i] - p[i, i]
+    w = np.flatnonzero(z[u[~peel]].any(axis=0))  # the items of the clusters cut
+    xp = x[~peel][:, w] @ p[np.ix_(w, w)]
+    gains[s[~peel]] = np.einsum("tj,tj->t", xp, y[~peel][:, w])
+    return gains * (4.0 / (c.n_items * c.n_items))
 
 
 def _vi_lower_gains(c: Partition, moves: Neighbors,
@@ -213,9 +226,7 @@ def greedy_search(draws: DrawMatrix, config: SearchConfig) -> SearchResult:
     trajectory = [(current, current_loss)]
     stats = []
     for _ in range(config.max_iters):
-        budget = config.l
-        if budget is None:
-            budget = min(2 * current.k * current.k, 200)
+        budget = config.l or min(2 * current.k * current.k, 200)
         moves = closest_neighbors(current, config.metric, budget)
         if not len(moves):
             stats.append(IterationStats(0, 0, None))

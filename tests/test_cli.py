@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postclust import Partition, __version__, cli, posterior
+from postclust import Metric, Partition, __version__, cli, posterior
 
 
 def test_simulate_sample_estimate_ball_round_trip(tmp_path):
@@ -123,16 +123,24 @@ def test_burn_in_not_below_iterations_is_a_usage_error(tmp_path, capsys, extra):
     assert not (tmp_path / "d.csv").exists()
 
 
-def test_estimate_builds_the_similarity_matrix_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("options, builds", [
+    (["--metric", "binder"], 1),
+    (["--metric", "vi", "--estimator", "lb"], 1),
+    (["--metric", "vi"], 0),
+], ids=["binder", "vi-lb", "vi-exact"])
+def test_estimate_builds_the_similarity_matrix_once(tmp_path, monkeypatch,
+                                                    options, builds):
+    # the Binder search and the lower bound read P, built once; the exact
+    # VI search and its report read the draws alone
     draws = tmp_path / "draws.csv"
     draws.write_text("0,0,1,1,2\n0,0,1,2,2\n0,1,1,2,2\n0,0,0,1,1\n")
     built = []
     original = posterior._co_clustering
     monkeypatch.setattr(posterior, "_co_clustering",
                         lambda *args, **kw: built.append(1) or original(*args, **kw))
-    assert cli.main(["estimate", str(draws), "--metric", "binder",
+    assert cli.main(["estimate", str(draws), *options,
                      "--out", str(tmp_path / "e.json")]) == 0
-    assert len(built) == 1
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("extra", [
@@ -261,16 +269,18 @@ def test_unwritable_output_is_found_before_any_input(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("metric, estimator, rescored", [
-    ("vi", "exact", ["expected_binder"]),
+    ("vi", "exact", ["draw_distances"]),
     ("binder", "exact", ["expected_vi"]),
-    ("vi", "lb", ["expected_binder", "expected_vi"]),
+    ("vi", "lb", ["draw_distances", "expected_vi"]),
 ], ids=["vi-exact", "binder-exact", "vi-lb"])
 def test_estimate_scores_its_optimum_once_per_loss(tmp_path, monkeypatch,
                                                    metric, estimator, rescored):
     # the exact loss the search minimized is its result's; only the
-    # other losses are computed again, and every one equals a fresh score
+    # other losses are computed again, and every one equals a fresh score:
+    # a VI estimate's Binder loss is the mean of its Binder distances to
+    # the draws, which needs no similarity matrix
     calls = []
-    for name in ("expected_binder", "expected_vi"):
+    for name in ("draw_distances", "expected_vi"):
         original = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, name=name, f=original:
                             calls.append(name) or f(*a))
@@ -283,8 +293,12 @@ def test_estimate_scores_its_optimum_once_per_loss(tmp_path, monkeypatch,
     sample = posterior.load_draws(draws)
     optimum = Partition(tuple(map(int, payload["labels"].split(","))))
     assert payload["expected_vi"] == posterior.expected_vi(optimum, sample)
-    assert payload["expected_binder"] == posterior.expected_binder(
-        optimum, posterior.similarity_matrix(sample))
+    if metric == "vi":
+        assert payload["expected_binder"] == float(posterior.draw_distances(
+            optimum, sample, Metric.BINDER).mean())
+    else:
+        assert payload["expected_binder"] == posterior.expected_binder(
+            optimum, posterior.similarity_matrix(sample))
     if estimator == "exact":
         assert payload[f"expected_{metric}"] == payload["expected_loss"]
 
@@ -449,7 +463,7 @@ def pinned_draws(path):
 
 @pytest.mark.parametrize("metric, estimate_digest, ball_digest", [
     ("vi",
-     "5312494034f70780ba9c594b1176c5bb8bb62891cfff3447a52ae000bbab502c",
+     "883c743a5dd41afd6667b2d5711ec2b19fd288453d0c960f172f80154e47bb2c",
      "1148c00a275793f365e11c815cfc9825276dbfb5b1ecc90d2311631cedbe7170"),
     ("binder",
      "2f580ec895ac9369b81b86c643067cabf76bae7dea1b8991f3999c00eeb8ef18",
@@ -459,7 +473,10 @@ def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
                                            ball_digest):
     # sha256 of the result files, recorded before the similarity matrix,
     # the cluster bitmasks and the row dedupe were built from the draw
-    # codes: the label order of tied bounds and the bits of every float
+    # codes: the label order of tied bounds and the bits of every float.
+    # The vi digest is that of an expected_binder read as the mean of the
+    # optimum's Binder distances to the draws, 0.06041666666666665, 1.93
+    # ulps from the exact 29/480 (from P it read 0.06041666666666667)
     draws, est, ball = (tmp_path / name for name in
                         ("draws.csv", "est.json", "ball.json"))
     pinned_draws(draws)

@@ -425,6 +425,30 @@ class TestDrawDistances:
         d = draw_distances(one_cluster(4), DrawMatrix(rows), Metric.VI)
         assert d[0] == d[2]
 
+    def test_binder_mean_and_psm_within_four_ulps(self):
+        # the posterior expected Binder loss both ways, from P and as the
+        # mean of the draw distances: the estimate's report reads the
+        # latter for a VI optimum, the Binder search the former
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 41))
+            draws = synthetic_draws(rng, n, int(rng.integers(1, 61)),
+                                    None if seed % 2 else int(rng.integers(1, 6)))
+            psm = similarity_matrix(draws)
+            for cand in (canonicalize(rng.integers(0, 4, size=n).tolist()),
+                         part_of_row(draws, draws.m - 1)):
+                pairs = 0
+                for row in draws.draws.tolist():
+                    cells = Counter(zip(cand.labels, row))
+                    pairs += (sum(a * a for a in cand.sizes)
+                              + sum(b * b for b in Counter(row).values())
+                              - 2 * sum(x * x for x in cells.values()))
+                exact = Fraction(pairs, draws.m * n * n)
+                ulp = Fraction(np.spacing(float(exact)))
+                mean = draw_distances(cand, draws, Metric.BINDER).mean()
+                for value in (expected_binder(cand, psm), float(mean)):
+                    assert abs(Fraction(value) - exact) <= 4 * ulp
+
 
 class TestBestSampled:
     def test_single_draw(self):
