@@ -185,8 +185,8 @@ def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
     distance merges precede splits, merges rank by (b, a), splits rank by
     descending f and then by the part mask read as a bit string.
     """
-    if l < 1:
-        raise ValueError("candidate budget l must be >= 1")
+    if not (isinstance(l, (int, np.integer)) and l >= 1):
+        raise ValueError(f"candidate budget l ({l!r}) must be an integer >= 1")
     n, sizes = c.n_items, np.asarray(c.sizes)
     a, b = np.triu_indices(c.k, 1)
     m_delta = merge_delta((sizes[a], sizes[b]), n, metric)

@@ -22,11 +22,12 @@ of n to its own piece) for the VI lower bound, with ``p`` the
 similarity; and (2/NM) Σ_cells [f(x+y) - f(x) - f(y)], f(n) = n log2 n,
 over the draw cells holding x items of X and y of Y, for the exact VI.
 Whole clusters' masses are rows of R = Z p and their counts columns of
-the contingency counts against every draw.  The Binder gain of a merge
-is read from R Z^T and of a peel-off of i from U as R[U, i] - p_ii; any
-other split, of a cluster of at most ``EXHAUSTIVE_SPLIT_LIMIT`` items,
-pays a product with ``p`` over the items of the clusters cut, the lower
-bound's pieces one over all N items, and the exact VI's a bincount.
+the contingency counts against every draw.  A merge's Binder or
+lower-bound gain is read from a k x k table built from R, and a Binder
+peel-off of i from U gains R[U, i] - p_ii.  Any other Binder split, of a
+cluster of at most ``EXHAUSTIVE_SPLIT_LIMIT`` items, pays a product with
+``p`` over the items of the clusters cut, a lower-bound split one over
+all N items, and an exact-VI move a bincount.
 This is how SALSO scores moves (Dahl, Johnson & Müller 2022, "Search
 Algorithms and Loss Functions for Bayesian Clustering").
 
@@ -103,27 +104,6 @@ class SearchResult:
     stats: list[IterationStats] = field(default_factory=list, repr=False)
 
 
-def _pieces(c: Partition, moves: Neighbors, p: np.ndarray):
-    """Per move, the items X and Y hold and every item's similarity mass
-    to each, as (C, N) arrays.  A merge of (a, b) has X = a, Y = b; a split
-    cuts X = ``part`` out of cluster ``pair[t, 0]``."""
-    z = np.asarray(c.labels) == np.arange(c.k)[:, None]
-    r = z.astype(np.float64) @ p
-    a, b = moves.pair.T
-    in_x, in_y, to_x, to_y = z[a], z[b], r[a], r[b]
-    s = np.flatnonzero(~moves.merge)
-    part = moves.part[s]
-    # A one-item piece's masses are its item's row of p, so only larger
-    # pieces pay a product with p.
-    cut = np.empty(part.shape)
-    one = part.sum(axis=1) == 1
-    cut[one] = p[part[one].argmax(axis=1)]
-    cut[~one] = part[~one] @ p
-    in_y[s], to_y[s] = in_x[s] & ~part, to_x[s] - cut
-    in_x[s], to_x[s] = part, cut
-    return in_x, in_y, to_x, to_y
-
-
 def _binder_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:
     """(4/N^2) Σ p_ij over the item pairs i in X, j in Y, from R = Z p."""
     p, z = draws.similarity, moves.source == np.arange(c.k)[:, None]
@@ -143,11 +123,23 @@ def _binder_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarr
 
 def _vi_lower_gains(c: Partition, moves: Neighbors,
                     draws: DrawMatrix) -> np.ndarray:
-    """(2/N) Σ_{n in U} log2(mass of n to U / mass of n to its own piece)."""
-    in_x, in_y, to_x, to_y = _pieces(c, moves, draws.similarity)
-    own = np.where(in_x, to_x, np.where(in_y, to_y, 1.0))
-    ratio = np.where(in_x | in_y, to_x + to_y, 1.0) / own  # 1 outside U
-    return 2.0 * np.log2(ratio).sum(axis=1) / c.n_items
+    """(2/N) Σ_{n in U} log2(mass of n to U / mass of n to its own piece).
+    With R = Z p, o_n = R[c_n, n] and base[A] = Σ_{n in A} log2 o_n, a merge
+    of (a, b) gains Q[a, b] + Q[b, a] - base[a] - base[b], Q = Z log2(o + R)^T;
+    a split's masses to the rest of U are o less those to the piece X cut."""
+    p, z = draws.similarity, moves.source == np.arange(c.k)[:, None]
+    r = z @ p
+    own = r[moves.source, np.arange(c.n_items)]
+    base = np.bincount(moves.source, np.log2(own), minlength=c.k)
+    a, b = moves.pair.T
+    q = z @ np.log2(own + r).T
+    gains = q[a, b] + q[b, a] - base[a] - base[b]  # a split's, at b = -1, is replaced
+    s = np.flatnonzero(~moves.merge)
+    u, x = a[s], moves.part[s]
+    to_x = x @ p
+    piece = np.where(x, to_x, np.where(z[u], own - to_x, 1.0))  # 1 outside U
+    gains[s] = base[u] - np.log2(piece).sum(axis=1)
+    return gains * (2.0 / c.n_items)
 
 
 def _vi_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarray:

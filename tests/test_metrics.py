@@ -290,8 +290,9 @@ class TestClosestNeighbors:
         assert closest_neighbors(singletons(4), Metric.VI, 5).merge.all()
 
     def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            closest_neighbors(one_cluster(4), Metric.VI, l=0)
+        for l in (0, 2.5, "3", None):
+            with pytest.raises(ValueError, match=r"\bl\b"):
+                closest_neighbors(one_cluster(4), Metric.VI, l=l)
 
     @pytest.mark.parametrize("l", [1, 3, 40])
     def test_rows_build_the_moves(self, l):

@@ -292,7 +292,8 @@ class TestMoveDeltas:
             n = int(rng.integers(4, 13))
             support = None if seed % 2 else int(rng.integers(2, 8))
             draws = synthetic_draws(rng, n, int(rng.integers(5, 40)), support)
-            for start in (draws.row(0), draws.row(draws.m - 1), one_cluster(n)):
+            for start in (draws.row(0), draws.row(draws.m - 1), one_cluster(n),
+                          singletons(n)):
                 moves = closest_neighbors(start, metric, 10**6)
                 deltas = _loss_deltas(start, moves, draws, config)
                 base = expected_loss(start, draws, metric, estimator)
@@ -394,6 +395,9 @@ class TestOracleAgreement:
 
     def test_binder_trials(self):
         assert self.run_trials(Metric.BINDER, "exact", range(25)) >= 24
+
+    def test_vi_lower_trials(self):
+        assert self.run_trials(Metric.VI, "lower-bound", range(25)) >= 24
 
 
 def noisy_posterior(seed: int) -> DrawMatrix:
