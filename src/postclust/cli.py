@@ -263,7 +263,8 @@ def _cmd_pairclass(args, argv) -> int:
     estimate = _read_partition(args.estimate)
     truth = _read_partition(args.truth)
     if estimate.n_items != truth.n_items:
-        raise ValueError("estimate and truth cover different item counts")
+        raise ValueError("estimate and truth cover different item counts: "
+                         f"{estimate.n_items} vs {truth.n_items}")
     same_est = np.equal.outer(estimate.labels, estimate.labels)
     same_tru = np.equal.outer(truth.labels, truth.labels)
     # 2 = co-clustered in both, 0 = in neither, 1 = truth only, 3 = estimate only

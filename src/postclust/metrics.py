@@ -1,9 +1,11 @@
 """Distances between partitions and ranked neighbor generation.
 
-Two metrics are supported: the variation of information (VI), measured in
-bits (all logarithms are base 2), and the N-invariant form of the pairwise
-disagreement loss, which rescales the classic pair-counting loss by 2/N^2
-so that it depends on cluster sizes only through the fractions n/N.
+Two metrics are supported, each stated once (``_form``) as the (f, scale)
+of d(c, d) = (Σ_A f(|A|) + Σ_B f(|B|) - 2 Σ_cells f(|A ∩ B|)) / scale over
+the clusters of c and d and their non-empty contingency cells: (n log2 n,
+N) for the variation of information (VI), in bits, and (n^2, N^2) for the
+N-invariant pairwise disagreement loss, the pair-counting loss rescaled by
+2/N^2 so that it depends on cluster sizes only through the fractions n/N.
 
 Both are genuine metrics on the space of partitions and both are aligned
 with the partition lattice: distances add up along chains and across the
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Partition, contingency
+from .partition import Partition
 
 __all__ = [
     "Metric",
@@ -45,37 +47,39 @@ def _check_metric(metric: Metric):
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
-    """n * log2(n) elementwise with the 0 log 0 := 0 convention."""
+    """n * log2(n) elementwise for counts n >= 0, with 0 log 0 := 0."""
     values = np.asarray(values, dtype=np.float64)
-    out = np.zeros_like(values)
-    pos = values > 0
-    out[pos] = values[pos] * np.log2(values[pos])
-    return out
+    return values * np.log2(np.maximum(values, 1.0))
+
+
+def _form(metric: Metric, n: int):
+    """The metric's (f, scale) on partitions of ``n`` items."""
+    _check_metric(metric)
+    return (_xlogx, n) if metric is Metric.VI else (np.square, n * n)
+
+
+def _distance(c: Partition, d: Partition, metric: Metric) -> float:
+    if c.n_items != d.n_items:
+        raise ValueError("partitions cover different item counts: "
+                         f"{c.n_items} vs {d.n_items}")
+    f, scale = _form(metric, c.n_items)
+    cells = np.bincount(np.asarray(c.labels) * d.k + np.asarray(d.labels))
+    a, b = f(np.asarray(c.sizes)).sum(), f(np.asarray(d.sizes)).sum()
+    return float((a + b - 2 * f(cells[cells > 0]).sum()) / scale)
 
 
 def vi(c: Partition, d: Partition) -> float:
-    """Variation of information between two partitions, in bits.
-
-    Equal to H(c) + H(d) - 2 I(c, d); ranges from 0 (identical clusterings)
-    to log2(N) (one cluster versus all singletons).
-    """
-    table = contingency(c, d)
-    a_r = _xlogx(table.sum(axis=1)).sum()
-    a_c = _xlogx(table.sum(axis=0)).sum()
-    joint = _xlogx(table[table > 0]).sum()
-    return float((a_r + a_c - 2.0 * joint) / c.n_items)
+    """Variation of information between two partitions, in bits: H(c) +
+    H(d) - 2 I(c, d), from 0 (identical clusterings) to log2(N) (one
+    cluster versus all singletons)."""
+    return _distance(c, d, Metric.VI)
 
 
 def binder(c: Partition, d: Partition) -> float:
-    """N-invariant pairwise-disagreement distance, in [0, 1 - 1/N].
-
-    All sums are accumulated in exact integer arithmetic before a single
-    float division, so dyadic values come out exact.
+    """N-invariant pairwise-disagreement distance, in [0, 1 - 1/N].  Its
+    sums are exact integers before one division, so dyadic values are exact.
     """
-    table = contingency(c, d)
-    a_r = int((table.sum(axis=1) ** 2).sum())
-    a_c = int((table.sum(axis=0) ** 2).sum())
-    return (a_r + a_c - 2 * int((table**2).sum())) / (c.n_items * c.n_items)
+    return _distance(c, d, Metric.BINDER)
 
 
 def merge_delta(sizes: tuple, n: int, metric: Metric) -> float | np.ndarray:
@@ -85,12 +89,9 @@ def merge_delta(sizes: tuple, n: int, metric: Metric) -> float | np.ndarray:
     one cluster into parts of these sizes.  A pair of sizes gives a float;
     a pair of equal-length integer arrays gives the array of pair costs.
     """
-    _check_metric(metric)
+    f, scale = _form(metric, n)
     ni, nj = np.asarray(sizes[0]), np.asarray(sizes[1])
-    if metric is Metric.VI:
-        delta = (_xlogx(ni + nj) - _xlogx(ni) - _xlogx(nj)) / n
-    else:
-        delta = 2.0 * ni * nj / (n * n)
+    delta = (f(ni + nj) - f(ni) - f(nj)) / scale
     return float(delta) if delta.ndim == 0 else delta
 
 

@@ -1,4 +1,4 @@
-"""Set partitions in canonical form and their contingency tables.
+"""Set partitions in canonical form.
 
 A partition of N items is stored as a label sequence in first-occurrence
 canonical form: item 0 has label 0 and each new label is exactly one more
@@ -7,14 +7,14 @@ by renaming clusters map to the same canonical form, so ``Partition``
 equality is equality of clusterings.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Partition", "canonicalize", "one_cluster", "singletons",
-           "contingency"]
+__all__ = ["Partition", "canonicalize", "one_cluster", "singletons"]
 
 
 def _canonical_rows(a: np.ndarray) -> np.ndarray:
@@ -53,18 +53,22 @@ def _canonical_rows(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """A clustering of ``n_items`` items, in canonical label form."""
+    """A clustering of ``n_items`` items, in canonical label form, given
+    as any sequence of integers and stored as a tuple of Python ints."""
 
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            labels = tuple(map(operator.index, self.labels))
+        except TypeError:
+            raise ValueError("labels must be integers") from None
+        object.__setattr__(self, "labels", labels)  # frozen
         seen = -1
         for lab in self.labels:
             if lab > seen + 1 or lab < 0:
-                raise ValueError(
-                    "labels are not in canonical first-occurrence form; "
-                    "use canonicalize()"
-                )
+                raise ValueError("labels are not in canonical first-occurrence "
+                                 "form; use canonicalize()")
             seen = max(seen, lab)
         if len(self.labels) == 0:
             raise ValueError("empty partition")
@@ -107,13 +111,3 @@ def singletons(n: int) -> Partition:
     """The least lattice element: every item in its own cluster."""
     return Partition(tuple(range(n)))
 
-
-def contingency(c: Partition, d: Partition) -> np.ndarray:
-    """The (c.k, d.k) array whose entry [i, j] counts the items in cluster
-    i of ``c`` and cluster j of ``d``."""
-    if c.n_items != d.n_items:
-        raise ValueError(
-            f"partitions cover different item counts: {c.n_items} vs {d.n_items}"
-        )
-    codes = np.asarray(c.labels) * d.k + np.asarray(d.labels)
-    return np.bincount(codes, minlength=c.k * d.k).reshape(c.k, d.k)

@@ -17,10 +17,11 @@ Loss estimators:
   Σ_A |A|^2 - 2 Σ_i mass_i), A its clusters, mass_i = Σ_j s_ij p_ij.  The
   Binder search and certification read P: the estimator the first form,
   the scan below the second, ``search._binder_gains`` its change along an
-  edge.  A VI estimate reports the mean of ``draw_distances`` (each draw's
-  co-clustering for P), which agrees with P's only to a few ulps.
+  edge.  A VI estimate reports it as the mean of ``draw_distances`` (each
+  draw's co-clustering for P), which agrees with P's only to a few ulps.
 * ``expected_vi`` -- exact posterior expectation of the variation of
-  information, the empirical mean of the distance to every draw.
+  information: the mean of ``draw_distances``, the one per-draw series
+  that the estimator, every certification and the credible ball read.
 * ``expected_vi_lower`` -- Jensen lower bound of ``expected_vi``: every
   candidate-dependent term needs only the similarity matrix, hence is
   cheap for large M; one per-posterior scalar comes from the draws.
@@ -53,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import Metric, _check_metric, _xlogx
+from .metrics import Metric, _check_metric, _form, _xlogx
 from .partition import Partition, _canonical_rows
 
 __all__ = ["DrawMatrix", "load_draws", "similarity_matrix", "expected_binder",
@@ -262,24 +263,22 @@ def expected_binder(candidate: Partition, psm: np.ndarray) -> float:
 
 def expected_vi(candidate: Partition, draws: DrawMatrix) -> float:
     """Posterior expected variation of information: the mean distance in
-    bits between ``candidate`` and every sampled partition."""
-    _check_candidate(candidate, draws.n)
-    joint = draws._joint_counts(candidate)
-    j_total = float(_xlogx(joint[joint > 0]).sum())
-    b = float(_xlogx(np.asarray(candidate.sizes)).sum())
-    a = float(draws._row_xlogx.sum())
-    return ((a + b * draws.m - 2.0 * j_total) / draws.m) / draws.n
+    bits between ``candidate`` and every sampled partition, the mean of
+    ``draw_distances``."""
+    return float(draw_distances(candidate, draws, Metric.VI).mean())
 
 
 def expected_vi_lower(candidate: Partition, draws: DrawMatrix) -> float:
     """Jensen lower bound of the posterior expected variation of information.
 
     With ``c_n`` the cluster of item n in a draw, ``ĉ_n`` its cluster in
-    ``candidate`` and ``p`` the similarity matrix, the value in bits is
+    ``candidate``, ``p`` the similarity matrix and o_n = Σ_{n' ∈ ĉ_n} p_nn',
+    the value in bits is, with B = Σ_n log2|ĉ_n| summed as a draw's is,
 
-        E[(1/N) Σ_n log2|c_n|]
-          + (1/N) Σ_n [log2|ĉ_n| - 2 log2 Σ_{n' ∈ ĉ_n} p_nn'].
+        (1/N) (E[Σ_n log2|c_n|] - B + 2 [Σ_n log2|ĉ_n| - Σ_n log2 o_n]):
 
+    at a degenerate posterior, where o_n = |ĉ_n|, each difference is of
+    equal sums, exactly 0.
     Jensen moves the expectation inside the logarithm of the joint term
     only, so every candidate-dependent term needs just ``p``; the first
     term is one per-posterior scalar, taken exactly from ``draws``.  The
@@ -290,28 +289,30 @@ def expected_vi_lower(candidate: Partition, draws: DrawMatrix) -> float:
     that term from above and would no longer give a lower bound.
     """
     _check_candidate(candidate, draws.n)
-    labels = np.asarray([candidate.labels])
+    labels, sizes = np.asarray([candidate.labels]), np.asarray(candidate.sizes)
     _, log_mass = _scan_own_mass(labels, np.array([0, candidate.k]),
                                  draws.similarity)
-    sizes = np.asarray(candidate.sizes, dtype=np.float64)[labels[0]]
-    a = float(draws._row_xlogx.sum()) / draws.m
-    return float(a + np.log2(sizes).sum() - 2.0 * log_mass[0]) / candidate.n_items
+    gap = np.log2(sizes[labels[0]]).sum() - log_mass[0]  # 0 where o_n = |ĉ_n|
+    b = np.add.reduceat(_xlogx(sizes), [0])  # summed as a draw's sizes are
+    return float(np.mean(draws._row_xlogx - b) + 2.0 * gap) / draws.n
 
 
 def draw_distances(center: Partition, draws: DrawMatrix, metric: Metric) -> np.ndarray:
-    """Distance from ``center`` to every draw, as a length-M vector.
-
-    Both are (Σ f(size) over the clusters of the two partitions less
-    2 Σ f(count) over their contingency cells) / scale: f(n) = n log2 n
-    over N for the VI, and n^2 over N^2 for the Binder loss.
-    """
-    _check_metric(metric)
+    """Distance from ``center`` to every draw, as a length-M vector: the
+    metric's (Σ f(size) over the clusters of both less 2 Σ f(count) over
+    their non-empty contingency cells) / scale (``metrics._form``).  A
+    draw's sizes, its cells (by its cluster, then ``center``'s) and
+    ``center``'s sizes are each summed by ``np.add.reduceat`` in label
+    order: a draw equal to ``center`` sums the same values the same way
+    three times and is at exactly 0.0, not a few ulps either side of it."""
+    f, scale = _form(metric, draws.n)
     _check_candidate(center, draws.n)
-    f, scale = (_xlogx, draws.n) if metric is Metric.VI else (np.square, draws.n**2)
-    joint = np.add.reduceat(f(draws._joint_counts(center)),
-                            draws._cellptr[:-1] * center.k)
-    b = float(f(np.asarray(center.sizes)).sum())
-    return (draws._row_sum(f) + b - 2.0 * joint) / scale
+    counts = draws._joint_counts(center)
+    cells = np.flatnonzero(counts > 0)
+    joint = np.add.reduceat(f(counts[cells]),
+                            np.searchsorted(cells, draws._cellptr[:-1] * center.k))
+    b = np.add.reduceat(f(np.asarray(center.sizes)), [0])  # as a draw's are
+    return (draws._row_sum(f) + b - 2 * joint) / scale
 
 
 def expected_loss(

@@ -11,7 +11,7 @@ PUBLIC = [
     "BallBounds", "CredibleBall", "Dataset", "DrawMatrix", "Metric",
     "Neighbors", "Partition", "SamplerConfig", "SearchConfig", "SearchResult",
     "__version__", "ball_bounds", "best_sampled", "binder", "canonicalize",
-    "closest_neighbors", "contingency", "credible_ball", "draw_distances",
+    "closest_neighbors", "credible_ball", "draw_distances",
     "expected_binder", "expected_loss", "expected_vi", "expected_vi_lower",
     "gibbs_run", "greedy_search", "load_draws", "load_galaxy", "merge_delta",
     "one_cluster",

@@ -318,8 +318,31 @@ def test_stdout_holds_the_bytes_out_would_write(tmp_path, capsys, command):
 def test_pairclass_of_different_sizes_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "pc.csv"
     assert cli.main(["pairclass", "0,1", "0,1,2", str(out)]) == 3
-    assert "different item counts" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "different item counts" in err
+    assert "different item counts: 2 vs 3" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_posterior_of_copies_is_at_distance_zero(tmp_path):
+    # 40 copies of one partition of 60 items into 12 clusters: every loss
+    # of the estimate and the ball's radius are exactly 0.0, for each
+    # metric and estimator
+    row = ("0,1,2,2,3,0,4,5,1,6,0,7,7,8,7,9,0,2,1,8,4,9,5,1,10,0,7,3,7,1,2,"
+           "7,8,2,4,7,5,1,3,5,2,3,9,6,7,11,6,3,11,10,0,11,0,0,4,9,3,11,0,4")
+    draws, out = tmp_path / "copies.csv", tmp_path / "out.json"
+    draws.write_text((row + "\n") * 40)
+    for extra in ([], ["--estimator", "lb"], ["--metric", "binder"]):
+        assert cli.main(["estimate", str(draws), *extra, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["labels"] == row
+        assert payload["expected_loss"] == payload["expected_vi"] == 0.0
+        assert payload["expected_binder"] == 0.0
+    for metric in ("vi", "binder"):
+        assert cli.main(["ball", str(draws), row, "--metric", metric,
+                         "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["epsilon_star"], payload["coverage"]) == (0.0, 1.0)
 
 
 def test_start_of_wrong_size_is_a_data_error(tmp_path, capsys):
@@ -463,10 +486,10 @@ def pinned_draws(path):
 
 @pytest.mark.parametrize("metric, estimate_digest, ball_digest", [
     ("vi",
-     "883c743a5dd41afd6667b2d5711ec2b19fd288453d0c960f172f80154e47bb2c",
+     "dcfbd8970c72ea766996f6a61f0d74e63c0a57dde011adb931d8b5810ce5bb39",
      "1148c00a275793f365e11c815cfc9825276dbfb5b1ecc90d2311631cedbe7170"),
     ("binder",
-     "2f580ec895ac9369b81b86c643067cabf76bae7dea1b8991f3999c00eeb8ef18",
+     "7bcbdb7f6ee589fe10d53ebb552331af4a615a2cc9a94eaadfba43236f81f5eb",
      "685e380ec75bf764aea0041dc51760a21105262decf005ac9c9293ce9dc309f5"),
 ])
 def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
@@ -476,7 +499,10 @@ def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
     # codes: the label order of tied bounds and the bits of every float.
     # The vi digest is that of an expected_binder read as the mean of the
     # optimum's Binder distances to the draws, 0.06041666666666665, 1.93
-    # ulps from the exact 29/480 (from P it read 0.06041666666666667)
+    # ulps from the exact 29/480 (from P it read 0.06041666666666667).  Both
+    # estimate digests hold an expected_vi read as the mean of the draw
+    # distances, 0.5523846420394165 (one sum over the cells of every draw
+    # read 0.5523846420394162)
     draws, est, ball = (tmp_path / name for name in
                         ("draws.csv", "est.json", "ball.json"))
     pinned_draws(draws)

@@ -4,7 +4,6 @@ import pytest
 from postclust import (
     Partition,
     canonicalize,
-    contingency,
     one_cluster,
     singletons,
 )
@@ -52,50 +51,28 @@ class TestCanonicalize:
             Partition((1, 0))
         with pytest.raises(ValueError):
             Partition((0, 2))
+        for labels in ((0, 0.5), [0, 1.0], np.array([0.0, 1.0]), ("0", "1"),
+                       (0, None)):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                Partition(labels)
+
+    def test_any_integer_sequence_gives_one_partition(self):
+        # a list, a tuple, a numpy array or numpy integers: the labels are
+        # stored as a tuple of Python ints, so all compare and hash alike
+        expect = Partition((0, 1, 1))
+        for labels in ([0, 1, 1], np.array([0, 1, 1]), np.array([0, 1, 1], np.int32),
+                       (np.int64(0), np.int64(1), np.int64(1))):
+            p = Partition(labels)
+            assert p == expect and hash(p) == hash(expect)
+            assert type(p.labels) is tuple
+            assert all(type(label) is int for label in p.labels)
+        assert len({Partition([0, 1, 1]), expect, canonicalize([4, 2, 2])}) == 1
 
     def test_sizes_sum_and_positivity(self):
         for p in all_partitions(5):
             assert sum(p.sizes) == 5
             assert min(p.sizes) >= 1
             assert 1 <= p.k <= 5
-
-
-class TestContingency:
-    def test_identical_partitions_diagonal(self):
-        c = canonicalize([0, 0, 1, 1])
-        assert contingency(c, c).tolist() == [[2, 0], [0, 2]]
-
-    def test_hand_counted_pair(self):
-        # {1,2}{3,4} against {1}{2,4}{3} in first-occurrence labels: item 1
-        # alone, items 2 and 4 together, item 3 alone.
-        c = canonicalize([0, 0, 1, 1])
-        d = canonicalize([0, 1, 2, 1])
-        table = contingency(c, d)
-        assert table.tolist() == [[1, 1, 0], [0, 1, 1]]
-        assert table.sum(axis=1).tolist() == [2, 2]
-        assert table.sum(axis=0).tolist() == [1, 2, 1]
-        assert table.sum() == 4
-
-    def test_extremes_single_row(self):
-        table = contingency(one_cluster(4), singletons(4))
-        assert table.tolist() == [[1, 1, 1, 1]]
-
-    def test_marginals_consistent(self, rng):
-        for _ in range(20):
-            c = canonicalize(rng.integers(0, 3, size=9).tolist())
-            d = canonicalize(rng.integers(0, 4, size=9).tolist())
-            table = contingency(c, d)
-            assert table.sum() == 9
-            np.testing.assert_array_equal(
-                table.sum(axis=1), np.asarray(c.sizes)
-            )
-            np.testing.assert_array_equal(
-                table.sum(axis=0), np.asarray(d.sizes)
-            )
-
-    def test_mismatched_items(self):
-        with pytest.raises(ValueError):
-            contingency(one_cluster(3), one_cluster(4))
 
 
 # meet, leq and enumerate_partitions are the conftest references on which

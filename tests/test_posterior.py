@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -448,6 +449,71 @@ class TestDrawDistances:
                 mean = draw_distances(cand, draws, Metric.BINDER).mean()
                 for value in (expected_binder(cand, psm), float(mean)):
                     assert abs(Fraction(value) - exact) <= 4 * ulp
+
+    def test_expected_vi_within_eight_ulps(self):
+        # the posteriors of the Binder check above, against E[VI] to 50
+        # digits: (1/MN) Σ_m (Σ_A f(|A|) + Σ_B f(|B|) - 2 Σ_AB f(|A ∩ B|)),
+        # f(n) = n log2 n, over the clusters A of the candidate and B of
+        # draw m.  The last draw's candidate holds the exact 0 of an M = 1
+        # posterior or of a posterior of copies
+        with localcontext() as ctx:
+            ctx.prec = 50
+            f = [Decimal(0)] + [Decimal(size) * Decimal(size).ln() / Decimal(2).ln()
+                                for size in range(1, 41)]
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 41))
+            draws = synthetic_draws(rng, n, int(rng.integers(1, 61)),
+                                    None if seed % 2 else int(rng.integers(1, 6)))
+            for cand in (canonicalize(rng.integers(0, 4, size=n).tolist()),
+                         part_of_row(draws, draws.m - 1)):
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    total = Decimal(0)
+                    for row in draws.draws.tolist():
+                        cells = Counter(zip(cand.labels, row))
+                        total += (sum(f[a] for a in cand.sizes)
+                                  + sum(f[b] for b in Counter(row).values())
+                                  - 2 * sum(f[x] for x in cells.values()))
+                    exact = total / (draws.m * n)
+                    value = expected_vi(cand, draws)
+                    ulp = Decimal(np.spacing(float(exact)))
+                    assert abs(Decimal(value) - exact) <= 8 * ulp
+                # one formula: the estimator is the mean of the distances
+                mean = draw_distances(cand, draws, Metric.VI).mean()
+                assert value == float(mean)
+
+    def test_copies_are_at_exactly_zero(self):
+        # k = 1...30 clusters of up to 300 items: a draw equal to the
+        # centre sums the same values in the same order as the centre does
+        for k in range(1, 31):
+            rng = np.random.default_rng(k)
+            n = int(rng.integers(k, 301))
+            c = canonicalize(rng.permutation(np.arange(n) % k).tolist())
+            draws = DrawMatrix(np.tile(c.labels, (int(rng.integers(1, 41)), 1)))
+            for metric in Metric:
+                assert (draw_distances(c, draws, metric) == 0.0).all()
+            assert expected_vi(c, draws) == 0.0
+            assert expected_vi_lower(c, draws) == 0.0
+
+    def test_no_distance_is_negative(self):
+        # copies of a centre among perturbed and random draws: the copies
+        # are at exactly 0 and nothing lies below it, E[VI] included
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 301)), int(rng.integers(1, 31))
+            c = canonicalize(rng.integers(0, k, size=n).tolist())
+            rows = np.tile(c.labels, (int(rng.integers(2, 41)), 1))
+            copy = rng.random(len(rows)) < 0.5
+            for m in np.flatnonzero(~copy):
+                moved = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                rows[m, moved] = rng.integers(0, k + 1, size=moved.size)
+            draws = DrawMatrix(rows)
+            for metric in Metric:
+                d = draw_distances(c, draws, metric)
+                assert (d >= 0.0).all() and (d[copy] == 0.0).all()
+            for cand in (c, part_of_row(draws, 0), one_cluster(n), singletons(n)):
+                assert expected_vi(cand, draws) >= 0.0
 
 
 class TestBestSampled:

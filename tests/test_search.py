@@ -434,13 +434,13 @@ class TestTrajectoryPin:
          "b91b5c183be97e6138b984ca59ca6a392e4a3d4bf8aa85f0c5789372587107ed"),
         (3, Metric.VI, "exact", "last", None,
          "80d4034bea802f25461c4aeb8a8c11fd138deacad9fc8104745b29c295d0b9d0",
-         "a0746d78d0f47c0a95af982f453fb6bc52a42a47a10b66661964cd61f65105dd"),
+         "f7c130f718a3f784e2759810d91b6ab60b4197a0cbc511a2622b9e28dfcdb8dd"),
         (3, Metric.VI, "lower-bound", "last", None,
          "1cb085206a0942d4862fd64d80de6068c59fb219ee9f92e6e7564778e8b98bad",
-         "423f81c566e483f6f7e38e4c8b885fbf3afbfe8b3ba3edbeb5b516a1fa617794"),
+         "a5df0d306dbd192fb4de0c6b010915c47d362cf47416a57d5e2d21d7b230b745"),
         (1, Metric.VI, "exact", "best", None,
          "4b302ac22506c25e8d017048d04e9656d3fa9537f5eecf8a661a5a2a2e23caba",
-         "473521209bd719b58c380d16d1a710addce9b15d27901f52fc36584180a459d2"),
+         "a0e54dd3f6de979261aaa8a84df0c046e85933fcd564d62177cd404c8cceb313"),
     ], ids=["binder-one-cluster", "binder-one-cluster-l3", "vi-last",
             "vi-lower-last", "vi-best"])
     def test_trajectory_is_pinned(self, seed, metric, estimator, init, l,
