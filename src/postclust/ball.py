@@ -19,7 +19,7 @@ import numpy as np
 
 from .metrics import Metric
 from .partition import Partition
-from .posterior import DrawMatrix, _unique_rows, draw_distances
+from .posterior import IMPROVEMENT_TOL, DrawMatrix, _unique_rows, draw_distances
 
 __all__ = ["CredibleBall", "BallBounds", "credible_ball", "ball_bounds"]
 
@@ -51,15 +51,12 @@ def credible_ball(
     """Smallest ball around ``center`` holding >= 1 - alpha posterior mass."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    d = draw_distances(center, draws, metric)
-    order = np.sort(d)
-    m = draws.m
-    counts = np.arange(1, m + 1)
+    d, m = draw_distances(center, draws, metric), draws.m
     # the mass left outside against alpha: the float 1.0 - alpha can round
     # above 1 - alpha and ask for one draw more than the ball needs
-    needed = int(np.flatnonzero((m - counts) / m <= alpha)[0])
-    eps = float(order[needed])
-    members = np.flatnonzero(d <= eps)
+    needed = int(np.flatnonzero((m - np.arange(1, m + 1)) / m <= alpha)[0])
+    eps = float(np.sort(d)[needed])
+    members = np.flatnonzero(d <= eps + IMPROVEMENT_TOL)  # ties the radius
     return CredibleBall(
         center=center,
         metric=metric,
@@ -84,14 +81,13 @@ def ball_bounds(ball: CredibleBall, draws: DrawMatrix) -> BallBounds:
     u_dist = ball.distances[idx[first]]
     u_k = draws._ks[idx[first]]
 
-    def collect(mask: np.ndarray) -> tuple[Partition, ...]:
-        chosen = np.flatnonzero(mask)  # in label order: _unique_rows sorts
+    def collect(pool: np.ndarray) -> tuple[Partition, ...]:
+        """The members of ``pool`` farthest from the center, ties within
+        ``IMPROVEMENT_TOL``, by frequency and then labels."""
+        far = pool & (u_dist >= u_dist[pool].max() - IMPROVEMENT_TOL)
+        chosen = np.flatnonzero(far)  # in label order: _unique_rows sorts
         chosen = chosen[np.argsort(-counts[chosen], kind="stable")]
         return tuple(draws.row(idx[first[u]]) for u in chosen)
 
-    upper_pool = u_k == u_k.min()
-    lower_pool = u_k == u_k.max()
-    upper = collect(upper_pool & (u_dist == u_dist[upper_pool].max()))
-    lower = collect(lower_pool & (u_dist == u_dist[lower_pool].max()))
-    horizontal = collect(u_dist == u_dist.max())
-    return BallBounds(upper, lower, horizontal)
+    return BallBounds(collect(u_k == u_k.min()), collect(u_k == u_k.max()),
+                      collect(u_k > 0))  # horizontal: of any k

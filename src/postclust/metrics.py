@@ -1,11 +1,13 @@
 """Distances between partitions and ranked neighbor generation.
 
-Two metrics are supported, each stated once (``_form``) as the (f, scale)
-of d(c, d) = (Σ_A f(|A|) + Σ_B f(|B|) - 2 Σ_cells f(|A ∩ B|)) / scale over
-the clusters of c and d and their non-empty contingency cells: (n log2 n,
-N) for the variation of information (VI), in bits, and (n^2, N^2) for the
-N-invariant pairwise disagreement loss, the pair-counting loss rescaled by
-2/N^2 so that it depends on cluster sizes only through the fractions n/N.
+Two metrics are supported, each stated once (``_form``) as the term that
+a non-empty contingency cell of n_ab items, in clusters of n_a items of c
+and n_b of d, adds to scale * d(c, d): n_ab log2(n_a n_b / n_ab^2) at
+scale N for the variation of information (VI), in bits, and
+n_ab (n_a + n_b - 2 n_ab) at scale N^2 for the N-invariant pairwise
+disagreement loss, the pair-counting loss rescaled by 2/N^2 so that it
+depends on cluster sizes only through the fractions n/N.  As n_a n_b >=
+n_ab^2, no term is negative; a cell that is a whole cluster of both adds 0.
 
 Both are genuine metrics on the space of partitions and both are aligned
 with the partition lattice: distances add up along chains and across the
@@ -53,19 +55,32 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
 
 
 def _form(metric: Metric, n: int):
-    """The metric's (f, scale) on partitions of ``n`` items."""
+    """The metric's (cell(n_ab, n_a, n_b), scale) on ``n`` items."""
     _check_metric(metric)
-    return (_xlogx, n) if metric is Metric.VI else (np.square, n * n)
+    if metric is Metric.VI:
+        return (lambda ab, a, b: ab * np.log2(a * b / (ab * ab))), n
+    return (lambda ab, a, b: ab * (a + b - 2 * ab)), n * n
+
+
+def _distances(counts: np.ndarray, sizes: np.ndarray, center: np.ndarray,
+               ptr, metric: Metric) -> np.ndarray:
+    """Distance from the partition of cluster sizes ``center`` to each one
+    whose clusters (of ``sizes``) are ptr[m]:ptr[m + 1], by one ``reduceat``
+    of the terms of their contingency ``counts``, len(center) per cluster."""
+    cell, scale = _form(metric, int(center.sum()))
+    cells = np.flatnonzero(counts)
+    row = cells // len(center)
+    terms = cell(counts[cells], sizes[row], center[cells - row * len(center)])
+    return np.add.reduceat(terms, np.searchsorted(row, ptr[:-1])) / scale
 
 
 def _distance(c: Partition, d: Partition, metric: Metric) -> float:
     if c.n_items != d.n_items:
         raise ValueError("partitions cover different item counts: "
                          f"{c.n_items} vs {d.n_items}")
-    f, scale = _form(metric, c.n_items)
-    cells = np.bincount(np.asarray(c.labels) * d.k + np.asarray(d.labels))
-    a, b = f(np.asarray(c.sizes)).sum(), f(np.asarray(d.sizes)).sum()
-    return float((a + b - 2 * f(cells[cells > 0]).sum()) / scale)
+    counts = np.bincount(np.asarray(c.labels) * d.k + d.labels)
+    return float(_distances(counts, np.asarray(c.sizes), np.asarray(d.sizes),
+                            [0, c.k], metric)[0])
 
 
 def vi(c: Partition, d: Partition) -> float:
@@ -76,22 +91,22 @@ def vi(c: Partition, d: Partition) -> float:
 
 
 def binder(c: Partition, d: Partition) -> float:
-    """N-invariant pairwise-disagreement distance, in [0, 1 - 1/N].  Its
-    sums are exact integers before one division, so dyadic values are exact.
-    """
+    """N-invariant pairwise-disagreement distance, in [0, 1 - 1/N]: a sum of
+    exact integers before one division, so dyadic values are exact."""
     return _distance(c, d, Metric.BINDER)
 
 
 def merge_delta(sizes: tuple, n: int, metric: Metric) -> float | np.ndarray:
-    """Distance cost of merging two clusters of the given sizes.
+    """Distance cost of merging two clusters of the given sizes: the terms
+    of their two cells.
 
     The two partitions are nested, so this is also the cost of splitting
     one cluster into parts of these sizes.  A pair of sizes gives a float;
     a pair of equal-length integer arrays gives the array of pair costs.
     """
-    f, scale = _form(metric, n)
+    cell, scale = _form(metric, n)
     ni, nj = np.asarray(sizes[0]), np.asarray(sizes[1])
-    delta = (f(ni + nj) - f(ni) - f(nj)) / scale
+    delta = (cell(ni, ni, ni + nj) + cell(nj, nj, ni + nj)) / scale
     return float(delta) if delta.ndim == 0 else delta
 
 

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import Metric, _check_metric, _form, _xlogx
+from .metrics import Metric, _check_metric, _distances, _xlogx
 from .partition import Partition, _canonical_rows
 
 __all__ = ["DrawMatrix", "load_draws", "similarity_matrix", "expected_binder",
@@ -64,6 +64,7 @@ __all__ = ["DrawMatrix", "load_draws", "similarity_matrix", "expected_binder",
 ESTIMATORS = ("exact", "lower-bound")
 TILE_CELLS = 2**15  # cells of one chunk's indicators or of one tile product
 CERTIFY_MARGIN = 1e-9  # scanned-loss window rescored by the public estimator
+IMPROVEMENT_TOL = 1e-12  # losses or distances this close tie; a move beats it
 
 
 class DrawMatrix:
@@ -141,13 +142,10 @@ class DrawMatrix:
     def _cluster_sizes_flat(self) -> np.ndarray:
         return np.bincount(self._rowcode.ravel(), minlength=self._cellptr[-1])
 
-    def _row_sum(self, f) -> np.ndarray:
-        """Per draw: the sum of ``f`` over its cluster sizes."""
-        return np.add.reduceat(f(self._cluster_sizes_flat), self._cellptr[:-1])
-
     @cached_property
     def _row_xlogx(self) -> np.ndarray:
-        return self._row_sum(_xlogx)
+        """Per draw: Σ n log2 n over its cluster sizes n."""
+        return np.add.reduceat(_xlogx(self._cluster_sizes_flat), self._cellptr[:-1])
 
 
 def _parse_labels(rows: list[str]) -> np.ndarray:
@@ -298,21 +296,12 @@ def expected_vi_lower(candidate: Partition, draws: DrawMatrix) -> float:
 
 
 def draw_distances(center: Partition, draws: DrawMatrix, metric: Metric) -> np.ndarray:
-    """Distance from ``center`` to every draw, as a length-M vector: the
-    metric's (Σ f(size) over the clusters of both less 2 Σ f(count) over
-    their non-empty contingency cells) / scale (``metrics._form``).  A
-    draw's sizes, its cells (by its cluster, then ``center``'s) and
-    ``center``'s sizes are each summed by ``np.add.reduceat`` in label
-    order: a draw equal to ``center`` sums the same values the same way
-    three times and is at exactly 0.0, not a few ulps either side of it."""
-    f, scale = _form(metric, draws.n)
+    """Distance from ``center`` to every draw, as a length-M vector: row m
+    is ``vi`` or ``binder`` of (draw m, ``center``), the same sum of the
+    same cell terms (``metrics._distances``)."""
     _check_candidate(center, draws.n)
-    counts = draws._joint_counts(center)
-    cells = np.flatnonzero(counts > 0)
-    joint = np.add.reduceat(f(counts[cells]),
-                            np.searchsorted(cells, draws._cellptr[:-1] * center.k))
-    b = np.add.reduceat(f(np.asarray(center.sizes)), [0])  # as a draw's are
-    return (draws._row_sum(f) + b - 2 * joint) / scale
+    return _distances(draws._joint_counts(center), draws._cluster_sizes_flat,
+                      np.asarray(center.sizes), draws._cellptr, metric)
 
 
 def expected_loss(
@@ -448,7 +437,8 @@ def _scanned_losses(draws: DrawMatrix, metric: Metric,
     psm = draws.similarity
     mass, log_mass = _scan_own_mass(draws.draws, draws._cellptr, psm)
     if metric is Metric.BINDER:
-        return (psm.sum() + draws._row_sum(np.square) - 2.0 * mass) / (n * n)
+        sq = np.add.reduceat(draws._cluster_sizes_flat**2, draws._cellptr[:-1])
+        return (psm.sum() + sq - 2.0 * mass) / (n * n)
     return (a / m + b - 2.0 * log_mass) / n
 
 
@@ -474,13 +464,14 @@ def best_sampled(
 def _certified_best(rows: np.ndarray, draws: DrawMatrix, metric: Metric,
                     estimator: str) -> tuple[Partition, float]:
     """The certification rule, the one choice by the public estimator: of
-    canonical label ``rows`` in tie-break order, the first of least
-    ``expected_loss``, with that loss; each distinct row is scored once.
+    canonical label ``rows`` in tie-break order, the first whose
+    ``expected_loss`` is within ``IMPROVEMENT_TOL`` of the least, with that
+    loss: rounding does not split a tie.  Each distinct row is scored once.
     Draws tie by chain order (``best_sampled``), moves by labels (a greedy
     step), and the search's ``last`` or explicit start is one row."""
     first = np.sort(_unique_rows(rows)[0])
     parts = [Partition(tuple(row)) for row in rows[first].tolist()]
     _check_candidate(parts[0], draws.n)  # the Binder loss checks only P's shape
     losses = [expected_loss(p, draws, metric, estimator) for p in parts]
-    best = losses.index(min(losses))
+    best = int(np.argmax(np.array(losses) <= min(losses) + IMPROVEMENT_TOL))
     return parts[best], losses[best]

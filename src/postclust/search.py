@@ -48,13 +48,11 @@ import numpy as np
 from .metrics import Metric, Neighbors, _xlogx, closest_neighbors
 from .partition import Partition
 from .posterior import (
-    CERTIFY_MARGIN, TILE_CELLS, DrawMatrix, _certified_best, _check_estimator,
-    best_sampled,
+    CERTIFY_MARGIN, IMPROVEMENT_TOL, TILE_CELLS, DrawMatrix, _certified_best,
+    _check_estimator, best_sampled,
 )
 
 __all__ = ["SearchConfig", "SearchResult", "greedy_search"]
-
-IMPROVEMENT_TOL = 1e-12  # required strict decrease before a move is accepted
 
 
 @dataclass

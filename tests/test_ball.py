@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from postclust import (
     Metric,
     Partition,
     ball_bounds,
-    binder,
     canonicalize,
     closest_neighbors,
     credible_ball,
@@ -23,6 +24,18 @@ from conftest import synthetic_draws
 
 def make_draws(rows):
     return DrawMatrix(np.asarray(rows))
+
+
+def exact_key(c, d, metric):
+    """A key in the order of the exact distance: N^2 binder(c, d), an
+    integer, or 2^(N vi(c, d)), the fraction Π_A |A|^|A| Π_B |B|^|B| /
+    Π_cells n^2n over the clusters A of c, B of d and their cells."""
+    a, b = Counter(c.labels).values(), Counter(d.labels).values()
+    cells = Counter(zip(c.labels, d.labels)).values()
+    if metric is Metric.BINDER:
+        return sum(x * x for x in (*a, *b)) - 2 * sum(x * x for x in cells)
+    return Fraction(math.prod(x**x for x in (*a, *b)),
+                    math.prod(x ** (2 * x) for x in cells))
 
 
 def size_profiles(n, largest=None):
@@ -158,34 +171,46 @@ class TestBallBounds:
         assert set(bounds.horizontal) == {one_cluster(4), singletons(4)}
 
     def test_bounds_are_members_with_exact_extremal_distance(self, rng):
+        # in exact arithmetic: the ball holds every draw at most as far as
+        # its farthest member, and each bound is every member of its pool
+        # at the pool's largest distance, however the floats round
         for _ in range(10):
             draws = synthetic_draws(rng, 6, 40)
             center = canonicalize(rng.integers(0, 3, size=6).tolist())
+            rows = [canonicalize(row) for row in draws.draws.tolist()]
             for metric in (Metric.VI, Metric.BINDER):
                 ball = credible_ball(center, draws, 0.2, metric)
                 bounds = ball_bounds(ball, draws)
-                member_rows = {
-                    tuple(draws.draws[m].tolist())
-                    for m in ball.member_indices
-                }
-                fn = vi if metric is Metric.VI else binder
-                member_dist = [
-                    fn(canonicalize(list(r)), center) for r in member_rows
-                ]
-                dmax = max(member_dist)
-                ks = [canonicalize(list(r)).k for r in member_rows]
-                for p in (
-                    bounds.upper_vertical
-                    + bounds.lower_vertical
-                    + bounds.horizontal
-                ):
-                    assert p.labels in member_rows
-                for p in bounds.upper_vertical:
-                    assert p.k == min(ks)
-                for p in bounds.lower_vertical:
-                    assert p.k == max(ks)
-                for p in bounds.horizontal:
-                    assert fn(p, center) == pytest.approx(dmax, abs=0)
+                key = {p: exact_key(p, center, metric) for p in set(rows)}
+                members = {rows[m] for m in ball.member_indices}
+                radius = max(key[p] for p in members)
+                assert ball.member_indices.tolist() == [
+                    m for m, p in enumerate(rows) if key[p] <= radius]
+
+                def farthest(pool):
+                    return {p for p in pool if key[p] == max(map(key.get, pool))}
+
+                ks = [p.k for p in members]
+                assert set(bounds.upper_vertical) == farthest(
+                    [p for p in members if p.k == min(ks)])
+                assert set(bounds.lower_vertical) == farthest(
+                    [p for p in members if p.k == max(ks)])
+                assert set(bounds.horizontal) == farthest(members)
+
+    def test_exact_tie_that_rounds_apart_is_one_bound(self):
+        # a and b sit at exactly the same VI from c through different cell
+        # terms, 7 log2(56/49) twice against 7 log2(64/49) and 0, which
+        # round 1 ulp apart: the ball at the nearer one's radius holds both,
+        # and both are horizontal bounds
+        c = canonicalize([0] * 9 + [1] * 8 + [2] * 7 + [3] * 6)
+        a, b = (canonicalize(list(map(int, row.split(",")))) for row in (
+            "0,1,2,0,0,0,0,0,0,3,3,3,3,0,3,3,3,2,2,2,2,2,2,2,4,4,4,4,4,4",
+            "0,0,1,0,0,0,0,2,0,2,2,2,2,0,2,2,2,3,3,3,3,3,3,3,4,4,4,4,4,4"))
+        assert exact_key(a, c, Metric.VI) == exact_key(b, c, Metric.VI)
+        draws = make_draws([c.labels] * 8 + [a.labels, b.labels])
+        ball = credible_ball(c, draws, 0.15, Metric.VI)
+        assert ball.coverage == 1.0
+        assert set(ball_bounds(ball, draws).horizontal) == {a, b}
 
     def test_smallest_nontrivial_ball_coincides_across_metrics(self):
         # posterior mass on the center, its provably nearest neighbors, and

@@ -486,12 +486,12 @@ def pinned_draws(path):
 
 @pytest.mark.parametrize("metric, estimate_digest, ball_digest", [
     ("vi",
-     "dcfbd8970c72ea766996f6a61f0d74e63c0a57dde011adb931d8b5810ce5bb39",
-     "1148c00a275793f365e11c815cfc9825276dbfb5b1ecc90d2311631cedbe7170"),
+     "883c743a5dd41afd6667b2d5711ec2b19fd288453d0c960f172f80154e47bb2c",
+     "419cd9bfeadafd37b207d772bc3ee451b070c34a52f0bdc1182532e371f34f55"),
     ("binder",
-     "7bcbdb7f6ee589fe10d53ebb552331af4a615a2cc9a94eaadfba43236f81f5eb",
+     "2f580ec895ac9369b81b86c643067cabf76bae7dea1b8991f3999c00eeb8ef18",
      "685e380ec75bf764aea0041dc51760a21105262decf005ac9c9293ce9dc309f5"),
-])
+], ids=["vi", "binder"])
 def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
                                            ball_digest):
     # sha256 of the result files, recorded before the similarity matrix,
@@ -499,10 +499,12 @@ def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
     # codes: the label order of tied bounds and the bits of every float.
     # The vi digest is that of an expected_binder read as the mean of the
     # optimum's Binder distances to the draws, 0.06041666666666665, 1.93
-    # ulps from the exact 29/480 (from P it read 0.06041666666666667).  Both
+    # ulps from the exact 29/480 (from P it reads 0.06041666666666667).  Both
     # estimate digests hold an expected_vi read as the mean of the draw
-    # distances, 0.5523846420394165 (one sum over the cells of every draw
-    # read 0.5523846420394162)
+    # distances summed cell by cell, 0.5523846420394162, the correctly
+    # rounded 0.55238464203941619083... (a difference of sums per draw read
+    # 0.5523846420394165).  The vi ball's two horizontal bounds sit at
+    # exactly the same distance, whose floats round 1 ulp apart
     draws, est, ball = (tmp_path / name for name in
                         ("draws.csv", "est.json", "ball.json"))
     pinned_draws(draws)

@@ -414,12 +414,16 @@ class TestExpectedViLower:
 
 class TestDrawDistances:
     def test_matches_scalar_metric(self, rng):
-        draws = synthetic_draws(rng, 7, 30)
-        center = canonicalize(rng.integers(0, 3, size=7).tolist())
-        for metric, fn in ((Metric.VI, vi), (Metric.BINDER, binder)):
-            d = draw_distances(center, draws, metric)
-            expect = [fn(part_of_row(draws, m), center) for m in range(30)]
-            np.testing.assert_allclose(d, expect, atol=TOL)
+        # bit for bit: vi and binder of (draw, centre) are the draw's entry,
+        # also at 10 to 20 clusters a side, where numpy's sum of a draw's
+        # cell terms rounds apart from the sum the two share
+        for draws, k in ((synthetic_draws(rng, 7, 30), 3),
+                         (DrawMatrix(rng.integers(0, 20, size=(30, 60))), 20)):
+            center = canonicalize(rng.integers(0, k, size=draws.n).tolist())
+            for metric, fn in ((Metric.VI, vi), (Metric.BINDER, binder)):
+                d = draw_distances(center, draws, metric)
+                expect = [fn(part_of_row(draws, m), center) for m in range(30)]
+                assert d.tolist() == expect
 
     def test_identical_rows_identical_distances(self):
         rows = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
@@ -451,41 +455,55 @@ class TestDrawDistances:
                     assert abs(Fraction(value) - exact) <= 4 * ulp
 
     def test_expected_vi_within_eight_ulps(self):
-        # the posteriors of the Binder check above, against E[VI] to 50
-        # digits: (1/MN) Σ_m (Σ_A f(|A|) + Σ_B f(|B|) - 2 Σ_AB f(|A ∩ B|)),
-        # f(n) = n log2 n, over the clusters A of the candidate and B of
-        # draw m.  The last draw's candidate holds the exact 0 of an M = 1
-        # posterior or of a posterior of copies
+        # against E[VI] to 50 digits: (1/MN) Σ_m (Σ_A f(|A|) + Σ_B f(|B|) -
+        # 2 Σ_AB f(|A ∩ B|)), f(n) = n log2 n, over the clusters A of the
+        # candidate and B of draw m.  The posteriors of the Binder check
+        # above, where the last draw's candidate holds the exact 0 of an M = 1
+        # posterior or of a posterior of copies, and noisy copies of one
+        # partition (N 10-60, M 5-80, 1-3 items moved per draw) with the last
+        # draw as candidate: close draws, where a difference of sums cancels
         with localcontext() as ctx:
             ctx.prec = 50
             f = [Decimal(0)] + [Decimal(size) * Decimal(size).ln() / Decimal(2).ln()
-                                for size in range(1, 41)]
+                                for size in range(1, 61)]
+        cases = []
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 41))
             draws = synthetic_draws(rng, n, int(rng.integers(1, 61)),
                                     None if seed % 2 else int(rng.integers(1, 6)))
-            for cand in (canonicalize(rng.integers(0, 4, size=n).tolist()),
-                         part_of_row(draws, draws.m - 1)):
-                with localcontext() as ctx:
-                    ctx.prec = 50
-                    total = Decimal(0)
-                    for row in draws.draws.tolist():
-                        cells = Counter(zip(cand.labels, row))
-                        total += (sum(f[a] for a in cand.sizes)
-                                  + sum(f[b] for b in Counter(row).values())
-                                  - 2 * sum(f[x] for x in cells.values()))
-                    exact = total / (draws.m * n)
-                    value = expected_vi(cand, draws)
-                    ulp = Decimal(np.spacing(float(exact)))
-                    assert abs(Decimal(value) - exact) <= 8 * ulp
-                # one formula: the estimator is the mean of the distances
-                mean = draw_distances(cand, draws, Metric.VI).mean()
-                assert value == float(mean)
+            cases += [(draws, canonicalize(rng.integers(0, 4, size=n).tolist())),
+                      (draws, part_of_row(draws, draws.m - 1))]
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 61))
+            truth = rng.integers(0, int(rng.integers(1, 9)), size=n)
+            rows = np.tile(truth, (int(rng.integers(5, 81)), 1))
+            for row in rows:
+                moved = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+                row[moved] = rng.integers(0, truth.max() + 2, size=moved.size)
+            draws = DrawMatrix(rows)
+            cases.append((draws, part_of_row(draws, draws.m - 1)))
+        for draws, cand in cases:
+            with localcontext() as ctx:
+                ctx.prec = 50
+                total = Decimal(0)
+                for row in draws.draws.tolist():
+                    cells = Counter(zip(cand.labels, row))
+                    total += (sum(f[a] for a in cand.sizes)
+                              + sum(f[b] for b in Counter(row).values())
+                              - 2 * sum(f[x] for x in cells.values()))
+                exact = total / (draws.m * draws.n)
+                value = expected_vi(cand, draws)
+                ulp = Decimal(np.spacing(float(exact)))
+                assert abs(Decimal(value) - exact) <= 8 * ulp
+            # one formula: the estimator is the mean of the distances
+            mean = draw_distances(cand, draws, Metric.VI).mean()
+            assert value == float(mean)
 
     def test_copies_are_at_exactly_zero(self):
-        # k = 1...30 clusters of up to 300 items: a draw equal to the
-        # centre sums the same values in the same order as the centre does
+        # k = 1...30 clusters of up to 300 items: every cell of a draw equal
+        # to the centre holds a whole cluster, n_ab = n_a = n_b, and adds 0
         for k in range(1, 31):
             rng = np.random.default_rng(k)
             n = int(rng.integers(k, 301))
