@@ -4,7 +4,7 @@ The 1 - alpha credible ball is the smallest metric ball centered at the
 point estimate that holds at least 1 - alpha of the posterior mass, with
 the mass and the radius both estimated from the MCMC draws.  Because the
 radius must come from the empirical distance grid, it is always one of the
-observed center-to-draw distances.
+observed center-to-draw distances, the least float of a rounded-apart tie.
 
 A ball over thousands of draws is unwieldy to report, so it is summarized
 by three bound sets taken over the distinct member partitions: the
@@ -55,8 +55,9 @@ def credible_ball(
     # the mass left outside against alpha: the float 1.0 - alpha can round
     # above 1 - alpha and ask for one draw more than the ball needs
     needed = int(np.flatnonzero((m - np.arange(1, m + 1)) / m <= alpha)[0])
-    eps = float(np.sort(d)[needed])
-    members = np.flatnonzero(d <= eps + IMPROVEMENT_TOL)  # ties the radius
+    ranked = np.sort(d)
+    members = np.flatnonzero(d <= ranked[needed] + IMPROVEMENT_TOL)  # ties the radius
+    eps = float(ranked[np.searchsorted(ranked, ranked[needed] - IMPROVEMENT_TOL)])
     return CredibleBall(
         center=center,
         metric=metric,

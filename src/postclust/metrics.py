@@ -18,6 +18,7 @@ entropies and a Rand index of their own, written from the definitions.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,39 +144,16 @@ class Neighbors:
         return np.where(self.merge[t, None], merged, split)
 
 
-def _split_parts(c: Partition,
-                 metric: Metric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every covered partition ``closest_neighbors`` ranks, as (split
-    cluster, delta, part mask): each binary split of a cluster of up to
-    ``EXHAUSTIVE_SPLIT_LIMIT`` items and each single-item peel-off of a
-    larger one.  No two are the same partition.  The mask marks the piece
-    without the cluster's first item.
-    """
-    n, labels = c.n_items, np.asarray(c.labels)
-    clusters, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    blocks = [np.zeros((0, n), dtype=bool)]
-    for label, size in enumerate(c.sizes):
-        if size < 2:
-            continue
-        # a 2-item cluster has one split, which both its peel-offs would give
-        if size <= EXHAUSTIVE_SPLIT_LIMIT or size == 2:
-            # All binary splits: the items of members[1:] whose bit is
-            # clear in the mask move; members[0] always stays.
-            masks = np.arange(2 ** (size - 1) - 1)[:, None]
-            moved = np.zeros((masks.shape[0], size), dtype=bool)
-            moved[:, 1:] = (masks >> np.arange(size - 1)) & 1 == 0
-        else:
-            moved = np.eye(size, dtype=bool)  # every single-item peel-off
-        block = np.zeros((moved.shape[0], n), dtype=bool)
-        block[:, labels == label] = moved ^ moved[:, :1]
-        blocks.append(block)
-        clusters.append(np.full(moved.shape[0], label))
-        # m, the count of items moved to the new cluster, sets the
-        # argument order of the split's delta
-        counts.append(moved.sum(axis=1))
-    cluster, first = np.concatenate(clusters), np.concatenate(counts)
-    second = np.asarray(c.sizes)[cluster] - first
-    return cluster, merge_delta((first, second), n, metric), np.concatenate(blocks)
+@functools.cache
+def _popcounts(width: int) -> np.ndarray:
+    """The number of set bits of each q < 2^width."""
+    return (np.arange(2**width)[:, None] >> np.arange(width) & 1).sum(axis=1)
+
+
+def _runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's run, and its index in it, for runs of these lengths."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
 
 
 def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
@@ -199,7 +177,10 @@ def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
     changes the labels at b's first item, lowering it to a; a split first
     changes them at the first item f of its part, raising it.  So at equal
     distance merges precede splits, merges rank by (b, a), splits rank by
-    descending f and then by the part mask read as a bit string.
+    descending f and then by the part mask read as a bit string.  Splits
+    are ranked from their cluster, size and first item before any mask is
+    built, and only the ``l`` picked get one, so a call takes O(l N + k^2 +
+    splits) memory, not O(splits N).
     """
     if not (isinstance(l, (int, np.integer)) and l >= 1):
         raise ValueError(f"candidate budget l ({l!r}) must be an integer >= 1")
@@ -208,19 +189,34 @@ def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
     m_delta = merge_delta((sizes[a], sizes[b]), n, metric)
     m_pick = np.lexsort((a, b, m_delta))[:l]
 
-    cluster, s_delta, part = _split_parts(c, metric)
-    # Each mask as one byte string: numpy orders those bytewise, which for
-    # packed bits is the lexicographic order of the masks.
-    keys = np.packbits(part, axis=1)
-    keys = keys.view(f"S{keys.shape[1]}").ravel()
-    head = part.argmax(axis=1)
-    s_pick = np.lexsort((keys, -head, s_delta))[:l]
+    # Splits as rows (cluster, pattern): to the limit (and at s = 2) each q
+    # in 1..2^(s-1)-1, whose bit s-1-i moves item i of the cluster's s, so
+    # that q orders the parts as their masks do; above it peel-off j, of
+    # items 1..s-1 at j = 0 and of item j otherwise.
+    members = np.argsort(c.labels, kind="stable")  # each cluster's items, in order
+    start = np.cumsum(sizes) - sizes
+    full = sizes <= max(EXHAUSTIVE_SPLIT_LIMIT, 2)
+    cluster, j = _runs(np.where(full, (1 << np.where(full, sizes - 1, 0)) - 1, sizes))
+    s, listed = sizes[cluster], full[cluster]
+    q = np.where(listed, j + 1, 0)
+    moved = np.where(listed, _popcounts(int(s[listed].max(initial=1)) - 1)[q],
+                     np.where(j == 0, s - 1, 1))  # the part's size
+    first = np.where(listed, s - np.frexp(q)[1], np.maximum(j, 1))  # its first item
+    head = members[start[cluster] + first]
+    s_delta = merge_delta((moved, s - moved), n, metric)
+    # only peel-offs 0 and 1 share a head, and 1 has the smaller mask
+    s_pick = np.lexsort((np.where(listed, q, moved), -head, s_delta))[:l]
+
+    t, i = _runs(np.where(listed, s - first, moved)[s_pick])  # the picks' masks
+    r, i = s_pick[t], i + first[s_pick[t]]
+    keep = ~listed[r] | (q[r] >> (s[r] - 1 - i) & 1 == 1)
+    part = np.zeros((len(s_pick), n), dtype=bool)
+    part[t[keep], members[start[cluster[r]] + i][keep]] = True
 
     n_merge, n_split = m_pick.shape[0], s_pick.shape[0]
     delta = np.concatenate([m_delta[m_pick], s_delta[s_pick]])
     merge = np.arange(n_merge + n_split) < n_merge
-    rank = np.concatenate([np.arange(n_merge), np.arange(n_split)])
-    order = np.lexsort((rank, ~merge, delta))
+    order = np.lexsort((~merge, delta))  # stable: each side keeps its rank
 
     pair = np.concatenate([
         np.stack([a[m_pick], b[m_pick]], axis=1),
@@ -231,5 +227,5 @@ def closest_neighbors(c: Partition, metric: Metric, l: int) -> Neighbors:
         delta=delta[order],
         merge=merge[order],
         pair=pair[order],
-        part=np.concatenate([np.zeros((n_merge, n), dtype=bool), part[s_pick]])[order],
+        part=np.concatenate([np.zeros((n_merge, n), dtype=bool), part])[order],
     )

@@ -5,9 +5,9 @@ row per MCMC sweep; it is the empirical posterior everything downstream
 consumes.  The N x N similarity matrix of co-clustering probabilities is
 the sufficient statistic for the pair-counting loss and for the fast lower
 bound on the expected information distance.  It is the sum of ``Z^T Z``
-over chunks of draws of at most ``TILE_CELLS`` cells, ``Z`` the float32
-cluster-by-item indicators of a chunk's cluster codes; a chunk's counts
-are integers below 2^24, so the sum is exact.
+over blocks of draws of at most 4 x ``TILE_CELLS`` cells, ``Z`` the
+float32 cluster-by-item indicators of a block's cluster codes; a block's
+counts are integers below 2^24, so the sum is exact.
 
 Loss estimators:
 
@@ -190,14 +190,14 @@ def load_draws(source) -> DrawMatrix:
     return DrawMatrix(labels)
 
 
-def _chunk_codes(rows: np.ndarray, ptr: np.ndarray):
+def _chunk_codes(rows: np.ndarray, ptr: np.ndarray, cells: int):
     """Cluster codes of canonical label ``rows``, row m's clusters at cells
     ptr[m]:ptr[m + 1] (``DrawMatrix._cellptr``), chunk by chunk: rows lo:hi
-    whose clusters hold at most ``TILE_CELLS`` item cells together (a row
-    with more is a chunk of its own).  Yields lo, hi, the number of clusters
-    of the chunk and each item's code, its label plus the clusters of the
+    whose clusters hold at most ``cells`` item cells together (a row with
+    more is a chunk of its own).  Yields lo, hi, the number of clusters of
+    the chunk and each item's code, its label plus the clusters of the
     chunk's rows before its own: one code per cluster of the chunk."""
-    width, lo = TILE_CELLS // rows.shape[1], 0
+    width, lo = cells // rows.shape[1], 0
     while lo < len(rows):
         hi = int(np.searchsorted(ptr, ptr[lo] + width, "right")) - 1
         hi = max(hi, lo + 1)
@@ -207,10 +207,13 @@ def _chunk_codes(rows: np.ndarray, ptr: np.ndarray):
 
 
 def _co_clustering(draws: DrawMatrix) -> np.ndarray:
+    """Σ Z^T Z / M over blocks of 4 x ``TILE_CELLS`` cells, 512 KiB of
+    float32: each product spans four times the clusters of a scan's chunk."""
     n = draws.n
     items = np.arange(n)
     p = np.zeros((n, n))
-    for _, _, clusters, codes in _chunk_codes(draws.draws, draws._cellptr):
+    for _, _, clusters, codes in _chunk_codes(draws.draws, draws._cellptr,
+                                              4 * TILE_CELLS):
         z = np.zeros((clusters, n), np.float32)
         z[codes, items] = 1
         p += z.T @ z  # integers below 2^24: exact in float32
@@ -344,7 +347,7 @@ def _scan_joint(draws: DrawMatrix) -> np.ndarray:
     """
     n, items, ptr = draws.n, np.arange(draws.n), draws._cellptr
     clusters = np.empty((int(ptr[-1]), (n + 7) // 8), np.uint8)
-    for lo, _, k, codes in _chunk_codes(draws.draws, ptr):
+    for lo, _, k, codes in _chunk_codes(draws.draws, ptr, TILE_CELLS):
         z = np.zeros((k, n), bool)
         z[codes, items] = True
         clusters[ptr[lo]:ptr[lo] + k] = np.packbits(z, axis=1)
@@ -400,7 +403,7 @@ def _scan_own_mass(rows: np.ndarray, ptr: np.ndarray,
     n = rows.shape[1]
     items = np.arange(n)
     total, logs = np.empty(len(rows)), np.empty(len(rows))
-    for lo, hi, clusters, codes in _chunk_codes(rows, ptr):
+    for lo, hi, clusters, codes in _chunk_codes(rows, ptr, TILE_CELLS):
         z = np.zeros((n, clusters))
         z[items, codes] = 1
         own = (psm @ z)[items, codes]

@@ -109,9 +109,9 @@ def _binder_gains(c: Partition, moves: Neighbors, draws: DrawMatrix) -> np.ndarr
     gains = (r @ z.T)[tuple(moves.pair.T)]  # a split's, at b = -1, is replaced
     s = np.flatnonzero(~moves.merge)
     u, x = moves.pair[s, 0], moves.part[s]
-    y = z[u] & ~x  # the rest of the cluster cut
-    peel = np.minimum(x.sum(axis=1), y.sum(axis=1)) == 1  # i from U: R[U, i] - p_ii
-    i = np.where(x.sum(axis=1) == 1, x.argmax(axis=1), y.argmax(axis=1))[peel]
+    y, xs = z[u] & ~x, x.sum(axis=1)  # the rest of the cluster cut, |X|
+    peel = np.minimum(xs, np.asarray(c.sizes)[u] - xs) == 1  # i: R[U, i] - p_ii
+    i = np.where(xs == 1, x.argmax(axis=1), y.argmax(axis=1))[peel]
     gains[s[peel]] = r[u[peel], i] - p[i, i]
     w = np.flatnonzero(z[u[~peel]].any(axis=0))  # the items of the clusters cut
     xp = x[~peel][:, w] @ p[np.ix_(w, w)]

@@ -49,6 +49,18 @@ def size_profiles(n, largest=None):
             yield (size,) + rest
 
 
+def rounded_tie():
+    """(c, a, b): a and b sit at exactly the same VI from c through
+    different cell terms, 7 log2(56/49) twice against 7 log2(64/49) and 0,
+    which round 1 ulp apart."""
+    c = canonicalize([0] * 9 + [1] * 8 + [2] * 7 + [3] * 6)
+    a, b = (canonicalize(list(map(int, row.split(",")))) for row in (
+        "0,1,2,0,0,0,0,0,0,3,3,3,3,0,3,3,3,2,2,2,2,2,2,2,4,4,4,4,4,4",
+        "0,0,1,0,0,0,0,2,0,2,2,2,2,0,2,2,2,3,3,3,3,3,3,3,4,4,4,4,4,4"))
+    assert exact_key(a, c, Metric.VI) == exact_key(b, c, Metric.VI)
+    return c, a, b
+
+
 def spread_draws(m, n=16):
     """m draws of n items at distinct VI distances from one cluster: one
     draw per size profile, skipping a profile whose Σ s log2 s, and so
@@ -198,19 +210,26 @@ class TestBallBounds:
                 assert set(bounds.horizontal) == farthest(members)
 
     def test_exact_tie_that_rounds_apart_is_one_bound(self):
-        # a and b sit at exactly the same VI from c through different cell
-        # terms, 7 log2(56/49) twice against 7 log2(64/49) and 0, which
-        # round 1 ulp apart: the ball at the nearer one's radius holds both,
-        # and both are horizontal bounds
-        c = canonicalize([0] * 9 + [1] * 8 + [2] * 7 + [3] * 6)
-        a, b = (canonicalize(list(map(int, row.split(",")))) for row in (
-            "0,1,2,0,0,0,0,0,0,3,3,3,3,0,3,3,3,2,2,2,2,2,2,2,4,4,4,4,4,4",
-            "0,0,1,0,0,0,0,2,0,2,2,2,2,0,2,2,2,3,3,3,3,3,3,3,4,4,4,4,4,4"))
-        assert exact_key(a, c, Metric.VI) == exact_key(b, c, Metric.VI)
+        # the ball at the nearer one's radius holds both, and both are
+        # horizontal bounds
+        c, a, b = rounded_tie()
         draws = make_draws([c.labels] * 8 + [a.labels, b.labels])
         ball = credible_ball(c, draws, 0.15, Metric.VI)
         assert ball.coverage == 1.0
         assert set(ball_bounds(ball, draws).horizontal) == {a, b}
+
+    def test_radius_of_a_tie_that_rounds_apart_is_the_lesser_float(self):
+        # the quantile draw is the nearer of the two, or the farther one
+        # with the nearer inside the ball: either way the radius reads the
+        # lesser float, the correctly rounded exact distance
+        c, a, b = rounded_tie()
+        draws = make_draws([c.labels] * 8 + [a.labels, b.labels])
+        d = draw_distances(c, draws, Metric.VI)
+        assert d[8] != d[9]
+        for alpha in (0.15, 0.05):  # the ninth draw of ten, then the tenth
+            ball = credible_ball(c, draws, alpha, Metric.VI)
+            assert ball.epsilon_star == min(d[8], d[9])
+            assert ball.member_indices.tolist() == list(range(10))
 
     def test_smallest_nontrivial_ball_coincides_across_metrics(self):
         # posterior mass on the center, its provably nearest neighbors, and

@@ -487,7 +487,7 @@ def pinned_draws(path):
 @pytest.mark.parametrize("metric, estimate_digest, ball_digest", [
     ("vi",
      "883c743a5dd41afd6667b2d5711ec2b19fd288453d0c960f172f80154e47bb2c",
-     "419cd9bfeadafd37b207d772bc3ee451b070c34a52f0bdc1182532e371f34f55"),
+     "1148c00a275793f365e11c815cfc9825276dbfb5b1ecc90d2311631cedbe7170"),
     ("binder",
      "2f580ec895ac9369b81b86c643067cabf76bae7dea1b8991f3999c00eeb8ef18",
      "685e380ec75bf764aea0041dc51760a21105262decf005ac9c9293ce9dc309f5"),
@@ -504,7 +504,8 @@ def test_estimate_and_ball_json_are_pinned(tmp_path, metric, estimate_digest,
     # distances summed cell by cell, 0.5523846420394162, the correctly
     # rounded 0.55238464203941619083... (a difference of sums per draw read
     # 0.5523846420394165).  The vi ball's two horizontal bounds sit at
-    # exactly the same distance, whose floats round 1 ulp apart
+    # exactly the same distance, whose floats round 1 ulp apart; its radius
+    # is the lesser, 0.7307795731789298, the correctly rounded exact value
     draws, est, ball = (tmp_path / name for name in
                         ("draws.csv", "est.json", "ball.json"))
     pinned_draws(draws)

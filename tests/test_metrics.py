@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,21 @@ class TestClosestNeighbors:
             for metric in BOTH:
                 got = neighbor_list(closest_neighbors(c, metric, l))
                 assert got == reference_neighbors(c, metric, l, limit)
+
+    @pytest.mark.parametrize("metric", BOTH)
+    @pytest.mark.parametrize("c", [sized((8,) * 250), one_cluster(2000)],
+                             ids=["8-item-clusters", "one-cluster"])
+    def test_memory_is_linear_in_n(self, c, metric):
+        # 2000 items: 250 clusters of 8 list 31,750 splits, whose N-item
+        # masks would take 60 MiB; one cluster lists 2000 peel-offs.  Only
+        # the l picked get a mask
+        tracemalloc.start()
+        try:
+            closest_neighbors(c, metric, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestMetricAxioms:

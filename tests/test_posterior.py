@@ -257,7 +257,7 @@ class TestSimilarityMatrix:
 
     def test_memory_stays_within_chunks(self):
         # the indicators of all 2000 draws at once take some 11 MiB of
-        # float32; one chunk of TILE_CELLS takes 128 KiB
+        # float32; one block of 4 x TILE_CELLS cells takes 512 KiB
         draws = spread_posterior(0, 200, 2000)
         draws._ks
         tracemalloc.start()
