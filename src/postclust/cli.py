@@ -194,24 +194,21 @@ def _cmd_ball(args, argv) -> int:
 
 
 def _parse_hyper(value: str, name: str, from_data: str):
-    """A numeric --mu0/--b, one number or a comma list; None for the value
-    the data decide (``from_data``: 'mean' or 'var')."""
+    """A numeric --mu0/--b, one number or a comma list, as a list; None for
+    the value the data decide (``from_data``: 'mean' or 'var')."""
     if value == from_data:
         return None
     try:
-        parts = [float(f) for f in value.split(",")]
+        return [float(f) for f in value.split(",")]
     except ValueError:
         raise ValueError(f"{name} must be numbers or {from_data!r}") from None
-    return parts[0] if len(parts) == 1 else np.asarray(parts)
 
 
 def _cmd_sample(args, argv) -> int:
     try:  # the command line alone decides these: a usage error
-        mu0 = _parse_hyper(args.mu0, "mu0", "mean")
-        b = _parse_hyper(args.b, "b", "var")
         config = SamplerConfig(
-            mu0=0.0 if mu0 is None else mu0,  # placeholders until the data
-            b=1.0 if b is None else b,
+            mu0=_parse_hyper(args.mu0, "mu0", "mean"),
+            b=_parse_hyper(args.b, "b", "var"),
             c=args.c,
             a=args.a,
             alpha0=args.alpha0,
@@ -226,11 +223,6 @@ def _cmd_sample(args, argv) -> int:
     _check_writable(args.out, args.trace)
     with open(args.data, encoding="utf-8-sig") as fh:  # drops a BOM
         data = Dataset(np.loadtxt(fh, delimiter=",", ndmin=2))
-    config = dataclasses.replace(
-        config,
-        mu0=data.points.mean(axis=0) if mu0 is None else mu0,
-        b=data.points.var(axis=0, ddof=1) if b is None else b,
-    )
     trace: list | None = [] if args.trace else None
     draws = gibbs_run(data, config, trace=trace)
     np.savetxt(args.out, draws.draws, fmt="%d", delimiter=",")
@@ -304,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="greedy expected-loss minimization")
     p.add_argument("draws")
     _add_metric(p)
-    p.add_argument("--estimator", choices=sorted(ESTIMATORS), default="exact")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--init", default="best",
+    p.add_argument("--estimator", choices=sorted(ESTIMATORS), default=next(
+        k for k, v in ESTIMATORS.items() if v == SearchConfig.estimator))
+    p.add_argument("--l", type=int, default=SearchConfig.l)
+    p.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
+    p.add_argument("--init", default=SearchConfig.init,
                    help="'best', 'last', or a partition file/labels")
     p.add_argument("--out", default=None, help="write result JSON here")
     p.add_argument("--trajectory", default=None,
@@ -327,18 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="draw file to write")
     p.add_argument("--iterations", type=int, default=11000)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
     p.add_argument("--mu0", default="mean",
                    help="prior mean: number(s) or 'mean'")
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--a", type=float, default=2.0)
+    p.add_argument("--c", type=float, default=SamplerConfig.c)
+    p.add_argument("--a", type=float, default=SamplerConfig.a)
     p.add_argument("--b", default="var",
                    help="prior variance rate: number(s) or 'var'")
-    p.add_argument("--alpha0", type=float, default=1.0)
+    p.add_argument("--alpha0", type=float, default=SamplerConfig.alpha0)
     p.add_argument("--fixed-alpha", action="store_true",
                    help="keep the mass parameter at --alpha0")
-    p.add_argument("--alpha-shape", type=float, default=1.0)
-    p.add_argument("--alpha-rate", type=float, default=1.0)
+    shape, rate = SamplerConfig.alpha_prior
+    p.add_argument("--alpha-shape", type=float, default=shape)
+    p.add_argument("--alpha-rate", type=float, default=rate)
     p.add_argument("--trace", default=None,
                    help="write per-sweep (clusters, alpha, log_joint) CSV "
                    "here; log_joint is the CRP log prior plus the clusters' "

@@ -3,13 +3,14 @@
 The observation model is a DP mixture of D-dimensional normals with
 diagonal covariance; the base measure is an independent normal-inverse-
 gamma prior per dimension (mean mu0 with precision multiplier c, variance
-with shape a and rate b), so cluster parameters integrate out in closed
-form.  Items are reassigned one at a time: an existing cluster attracts an
-item with weight proportional to its size times the posterior-predictive
-density, and a new cluster with weight proportional to the mass parameter
-times the prior-predictive density.  The mass parameter either stays fixed
-or is refreshed once per sweep under a gamma hyperprior via the usual
-beta-augmentation step.
+with shape a and rate b; by default mu0 and b are each column's mean and
+variance, c = 0.5 and a = 2.0), so cluster parameters integrate out in
+closed form.  Items are reassigned one at a time: an existing cluster
+attracts an item with weight proportional to its size times the
+posterior-predictive density, and a new cluster with weight proportional
+to the mass parameter times the prior-predictive density.  The mass
+parameter either stays fixed or is refreshed once per sweep under a gamma
+hyperprior via the usual beta-augmentation step.
 
 Clusters keep sums s1, s2 of the data centred at mu0, so the posterior
 rate is ``b + s2/2 - s1**2 / (2 (c + n))``.  The state is held in Python
@@ -25,7 +26,7 @@ consumed by the summary tools.
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Sequence
 
@@ -71,16 +72,18 @@ class Dataset:
 class SamplerConfig:
     """Hyperparameters and run settings for :func:`gibbs_run`.
 
-    ``iterations`` counts all sweeps including burn-in; the recorded chain
-    has ``iterations - burn_in`` rows.  ``alpha_prior`` is the (shape, rate)
-    of the gamma hyperprior on the mass parameter; pass None to keep the
-    mass fixed at ``alpha0``.
+    ``mu0`` and ``b`` of None take each data column's mean and variance
+    (ddof 1).  ``iterations`` counts all sweeps including burn-in; the
+    recorded chain has ``iterations - burn_in`` rows.  No burn-in is the
+    default, unlike the CLI's 1000 of 11000, so ``iterations=2`` is valid.
+    ``alpha_prior`` is the (shape, rate) of the gamma hyperprior on the
+    mass parameter; pass None to keep the mass fixed at ``alpha0``.
     """
 
-    mu0: float | Sequence[float] = 0.0
-    c: float = 1.0
-    a: float = 1.0
-    b: float | Sequence[float] = 1.0
+    mu0: float | Sequence[float] | None = None
+    c: float = 0.5
+    a: float = 2.0
+    b: float | Sequence[float] | None = None
     alpha0: float = 1.0
     alpha_prior: tuple[float, float] | None = (1.0, 1.0)
     iterations: int = 1000
@@ -266,6 +269,9 @@ def gibbs_run(
     log_joint) tuple per sweep, burn-in included; ``log_joint`` is the CRP
     log prior at that alpha plus the clusters' log marginal likelihoods.
     """
+    config = replace(  # None is the data's; checked again, so b = 0 fails
+        config, mu0=data.points.mean(axis=0) if config.mu0 is None else config.mu0,
+        b=data.points.var(axis=0, ddof=1) if config.b is None else config.b)
     model = _Model(config, data.d, data.n)
     rng = np.random.default_rng(config.seed)
     state = _GibbsState(data, model)

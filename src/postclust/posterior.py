@@ -317,6 +317,7 @@ def expected_loss(
     """Dispatch to the configured posterior expected-loss estimator; a
     given ``psm`` stands in for ``draws.similarity`` in the Binder loss."""
     _check_estimator(metric, estimator)
+    _check_candidate(candidate, draws.n)
     if metric is Metric.BINDER:
         return expected_binder(candidate, draws.similarity if psm is None else psm)
     if estimator == "exact":
@@ -474,7 +475,6 @@ def _certified_best(rows: np.ndarray, draws: DrawMatrix, metric: Metric,
     step), and the search's ``last`` or explicit start is one row."""
     first = np.sort(_unique_rows(rows)[0])
     parts = [Partition(tuple(row)) for row in rows[first].tolist()]
-    _check_candidate(parts[0], draws.n)  # the Binder loss checks only P's shape
     losses = [expected_loss(p, draws, metric, estimator) for p in parts]
     best = int(np.argmax(np.array(losses) <= min(losses) + IMPROVEMENT_TOL))
     return parts[best], losses[best]

@@ -88,6 +88,18 @@ def test_hyperparameter_of_wrong_length_is_a_data_error(tmp_path, capsys,
     assert not (tmp_path / "d.csv.manifest.json").exists()
 
 
+def test_constant_column_is_a_data_error(tmp_path, capsys):
+    # b is the column's variance, 0 here: the prior taken from the data is
+    # checked as a given one is
+    data, draws = tmp_path / "flat.csv", tmp_path / "d.csv"
+    data.write_text("1.0,2.0\n2.5,2.0\n3.0,2.0\n4.0,2.0\n")
+    code = cli.main(["sample", str(data), str(draws), "--iterations", "5",
+                     "--burn-in", "1"])
+    assert code == 3
+    assert "b must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]  # no draws, no manifest
+
+
 @pytest.mark.parametrize("error, message", [
     (MemoryError("Unable to allocate 18.6 GiB for an array with shape "
                  "(50000, 50000) and data type float64"),

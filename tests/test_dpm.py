@@ -14,7 +14,9 @@ import pytest
 from postclust import (
     Dataset,
     SamplerConfig,
+    SearchConfig,
     canonicalize,
+    cli,
     gibbs_run,
     load_galaxy,
     simulate_example,
@@ -87,6 +89,9 @@ def log_joint(labels, points, config, alpha):
                        SamplerConfig(b=[1.0, 2.0, 3.0], iterations=2)),
      "b holds 3 values; it must hold 1 or D = 2"),
     (lambda: Dataset(np.ones((3, 0))), "no columns"),
+    (lambda: gibbs_run(Dataset([[1.0, 2.0], [2.5, 2.0], [3.0, 2.0]]),
+                       SamplerConfig()),
+     "^b must be positive"),
     (lambda: SamplerConfig(c=[0.5, 1.0]), "^c must be a single number"),
     (lambda: SamplerConfig(a=[2.0]), "^a must be a single number"),
     (lambda: SamplerConfig(alpha0=np.ones((1, 1))),
@@ -102,6 +107,7 @@ def log_joint(labels, points, config, alpha):
     (lambda: SamplerConfig(seed=-1), r"^seed \(-1\) must be >= 0"),
 ], ids=["3-D data", "one observation", "unknown example",
         "n below 4", "mu0 of wrong length", "b of wrong length", "no columns",
+        "constant column",
         "c a list", "a a list", "alpha0 a matrix", "alpha_prior a number",
         "alpha_prior of three", "iterations a float", "burn_in a float",
         "seed a string", "negative seed"])
@@ -286,6 +292,38 @@ class TestTrace:
         (base, base_joint), (moved, moved_joint) = runs
         np.testing.assert_array_equal(moved, base)
         assert moved_joint == pytest.approx(base_joint, rel=1e-9)
+
+
+class TestDefaultPrior:
+    """The library and the CLI share one default prior: mu0 and b from the
+    data, c, a and the mass settings from ``SamplerConfig``."""
+
+    def test_library_default_is_the_cli_chain(self, tmp_path):
+        data, out = tmp_path / "galaxy.csv", tmp_path / "draws.csv"
+        galaxy = load_galaxy()
+        np.savetxt(data, galaxy.points, fmt="%.17g", delimiter=",")
+        assert cli.main(["sample", str(data), str(out), "--iterations", "60",
+                         "--burn-in", "0", "--seed", "1"]) == 0
+        draws = gibbs_run(galaxy, SamplerConfig(iterations=60, seed=1)).draws
+        np.testing.assert_array_equal(
+            draws, np.loadtxt(out, delimiter=",", dtype=np.int64))
+        assert np.mean([len(set(row)) for row in draws.tolist()]) > 1
+
+    def test_cli_defaults_are_the_class_defaults(self):
+        parser = cli.build_parser()
+        sample = parser.parse_args(["sample", "data.csv", "draws.csv"])
+        assert cli._parse_hyper(sample.mu0, "mu0", "mean") is SamplerConfig.mu0
+        assert cli._parse_hyper(sample.b, "b", "var") is SamplerConfig.b
+        assert (sample.c, sample.a, sample.alpha0, sample.seed) == (
+            SamplerConfig.c, SamplerConfig.a, SamplerConfig.alpha0,
+            SamplerConfig.seed)
+        assert not sample.fixed_alpha
+        assert (sample.alpha_shape, sample.alpha_rate) == SamplerConfig.alpha_prior
+        estimate = parser.parse_args(["estimate", "draws.csv"])
+        assert (cli.ESTIMATORS[estimate.estimator], estimate.l,
+                estimate.max_iters, estimate.init) == (
+            SearchConfig.estimator, SearchConfig.l, SearchConfig.max_iters,
+            SearchConfig.init)
 
 
 class TestSamplerConfig:

@@ -801,6 +801,17 @@ class TestArgminConsistency:
         assert by_loss == by_sq
 
 
+@pytest.mark.parametrize("metric, estimator", [
+    (Metric.VI, "exact"), (Metric.VI, "lower-bound"), (Metric.BINDER, "exact"),
+])
+def test_candidate_of_wrong_size_is_named(metric, estimator):
+    # every loss rejects it by the item counts, before any loss is formed
+    draws = DrawMatrix([[0, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError,
+                       match="^candidate covers 2 items, posterior covers 3$"):
+        expected_loss(canonicalize([0, 1]), draws, metric, estimator)
+
+
 class TestMetricType:
     """A metric given as its name, not a ``Metric``, would take the other
     loss's branch (``"binder"`` would score the VI lower bound), so every
