@@ -15,7 +15,6 @@ when memory runs out.
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -119,20 +118,18 @@ def _cmd_psm(args, argv) -> int:
 
 
 def _cmd_estimate(args, argv) -> int:
-    start = args.init in ("best", "last")
     try:  # the command line alone decides these: a usage error
         config = SearchConfig(
             metric=Metric(args.metric),
             estimator=ESTIMATORS[args.estimator],
             l=args.l,
             max_iters=args.max_iters,
-            init=args.init if start else "best",  # placeholder until read
         )
     except ValueError as exc:
         return _usage_error(exc, SEARCH_OPTIONS)
     _check_writable(args.out, args.trajectory)
-    if not start:
-        config = dataclasses.replace(config, init=_read_partition(args.init))
+    start = args.init in ("best", "last")
+    config.init = args.init if start else _read_partition(args.init)
     draws = load_draws(args.draws)
     result = greedy_search(draws, config)
     if result.stats[-1].accepted is not None:  # cut off while improving

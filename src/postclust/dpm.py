@@ -13,11 +13,13 @@ parameter either stays fixed or is refreshed once per sweep under a gamma
 hyperprior via the usual beta-augmentation step.
 
 Clusters keep sums s1, s2 of the data centred at mu0, so the posterior
-rate is ``b + s2/2 - s1**2 / (2 (c + n))``.  The state is held in Python
-floats: at a handful of clusters numpy's fixed cost per call outweighs its
-arithmetic.  Each reassignment rescores the cluster the item left, then
-scores every seat with the item added in one pass per dimension, the last
-pass fused with the seat weights.
+rate is ``b + s2/2 - s1**2 / (2 (c + n))``.  One state object holds the
+seating, these sums and the per-count tables of the log marginal (entry m
+for a cluster of m + 1 items), and computes the trace's log joint.  All of
+it is Python floats: at a handful of clusters numpy's fixed cost per call
+outweighs its arithmetic.  Each reassignment rescores the cluster the item
+left, then scores every seat with the item added in one pass per
+dimension, the last pass fused with the seat weights.
 
 One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
 consumed by the summary tools.
@@ -115,19 +117,29 @@ class SamplerConfig:
                              f"below iterations ({self.iterations})")
 
 
-class _Model:
-    """Prepared hyperparameters plus per-count tables as Python floats;
-    entry m of a table is for a cluster of m + 1 items."""
+class _GibbsState:
+    """The seating, held in Python lists with one entry per slot, plus the
+    per-count tables of the log marginal: entry m of ``prefactor``, ``a_n``
+    and ``g`` is for a cluster of m + 1 items.
 
-    def __init__(self, config: SamplerConfig, d: int, n_max: int):
-        c, a = float(config.c), float(config.a)
+    Slots 0..k-1 are the clusters and slot k is the empty seat.  Per slot
+    the state keeps the count and the cached log marginal (0 at the empty
+    seat); per dimension, a list of the slots' sums s1 and a list of their
+    ``b + s2/2``.  ``columns`` lists every per-slot list.  These lists are
+    only ever changed in place, so each item holds its moves as one tuple
+    per dimension, ``(s1, h, x1, xh)``: the dimension's two slot lists and
+    the item's own two terms.  :meth:`log_joint` gives the trace's value.
+    """
+
+    def __init__(self, data: Dataset, config: SamplerConfig):
+        d, c, a = data.d, float(config.c), float(config.a)
         for name in ("mu0", "b"):
             value = np.asarray(getattr(config, name), dtype=np.float64).ravel()
             if value.size not in (1, d):
                 raise ValueError(f"{name} holds {value.size} values; it must "
                                  f"hold 1 or D = {d}, one per data column")
             setattr(self, name, np.broadcast_to(value, (d,)))
-        counts = np.arange(1, n_max + 1, dtype=np.float64)
+        counts = np.arange(1, data.n + 1, dtype=np.float64)
         lgam = np.vectorize(math.lgamma)(a + counts / 2.0)
         # Size-dependent scalar part of the log marginal, per cluster count.
         self.prefactor = (
@@ -138,39 +150,11 @@ class _Model:
         ).tolist()
         self.a_n = (a + counts / 2.0).tolist()
         self.g = (0.5 / (c + counts)).tolist()
-
-
-def _crp_log_prior(sizes: Sequence[int], alpha: float) -> float:
-    """Log prior mass of a partition with these cluster sizes under the CRP."""
-    value = (
-        math.lgamma(alpha)
-        - math.lgamma(alpha + sum(sizes))
-        + len(sizes) * math.log(alpha)
-    )
-    for size in sizes:
-        value += math.lgamma(size)
-    return value
-
-
-class _GibbsState:
-    """The seating, held in Python lists with one entry per slot.
-
-    Slots 0..k-1 are the clusters and slot k is the empty seat.  Per slot
-    the state keeps the count and the cached log marginal (0 at the empty
-    seat); per dimension, a list of the slots' sums s1 and a list of their
-    ``b + s2/2``.  ``columns`` lists every per-slot list.  These lists are
-    only ever changed in place, so each item holds its moves as one tuple
-    per dimension, ``(s1, h, x1, xh)``: the dimension's two slot lists and
-    the item's own two terms.
-    """
-
-    def __init__(self, data: Dataset, model: _Model):
-        self.model = model
         self.labels = [-1] * data.n
         self.counts, self.logm = [0], [0.0]
-        sums = [([0.0], [b]) for b in model.b.tolist()]
+        sums = [([0.0], [b]) for b in self.b.tolist()]
         self.columns = (self.counts, self.logm, *itertools.chain(*sums))
-        x = data.points - model.mu0  # per item and dimension, x and x**2 / 2
+        x = data.points - self.mu0  # per item and dimension, x and x**2 / 2
         self.moves = [
             tuple((s1, h, x1, xh) for (s1, h), (x1, xh) in zip(sums, z))
             for z in np.stack([x, 0.5 * x * x], axis=-1).tolist()
@@ -185,12 +169,21 @@ class _GibbsState:
     def set_alpha(self, alpha: float):
         self.log_crp[0] = math.log(alpha)
 
+    def log_joint(self, alpha: float) -> float:
+        """The seating's CRP log prior at ``alpha`` plus the clusters' log
+        marginal likelihoods."""
+        value = (math.lgamma(alpha) - math.lgamma(alpha + len(self.labels))
+                 + self.k * math.log(alpha))
+        for size in self.counts[:-1]:
+            value += math.lgamma(size)
+        return value + sum(self.logm)
+
     def sweep(self, us: list):
         """Reseat the items in order, item i by the uniform draw ``us[i]``;
         an item at label -1 has no seat to leave."""
         counts, labels, logm = self.counts, self.labels, self.logm
-        model, crp, log, exp = self.model, self.log_crp, math.log, math.exp
-        g, pre, a_n = model.g, model.prefactor, model.a_n
+        crp, log, exp = self.log_crp, math.log, math.exp
+        g, pre, a_n = self.g, self.prefactor, self.a_n
         for i, (moves, u) in enumerate(zip(self.moves, us)):
             s = labels[i]
             if s >= 0:  # rescore the slot left, or move the last cluster into it
@@ -272,9 +265,8 @@ def gibbs_run(
     config = replace(  # None is the data's; checked again, so b = 0 fails
         config, mu0=data.points.mean(axis=0) if config.mu0 is None else config.mu0,
         b=data.points.var(axis=0, ddof=1) if config.b is None else config.b)
-    model = _Model(config, data.d, data.n)
+    state = _GibbsState(data, config)
     rng = np.random.default_rng(config.seed)
-    state = _GibbsState(data, model)
     alpha = float(config.alpha0)
     state.set_alpha(alpha)
     state.sweep(rng.random(data.n).tolist())
@@ -285,8 +277,7 @@ def gibbs_run(
             alpha = _update_alpha(alpha, state.k, data.n, config.alpha_prior, rng)
             state.set_alpha(alpha)
         if trace is not None:
-            prior = _crp_log_prior(state.counts[:-1], alpha)
-            trace.append((sweep, state.k, alpha, prior + sum(state.logm)))
+            trace.append((sweep, state.k, alpha, state.log_joint(alpha)))
         if sweep >= config.burn_in:
             kept[sweep - config.burn_in] = state.labels
     return DrawMatrix(kept)

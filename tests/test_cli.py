@@ -243,9 +243,11 @@ def test_unwritable_output_is_found_before_sampling(tmp_path, capsys,
     (["estimate", "{draws}", "--out", "{tmp}/nodir/e.json"], "greedy_search"),
     (["estimate", "{draws}", "--out", "{tmp}/e.json",
       "--trajectory", "{tmp}/nodir/t.csv"], "greedy_search"),
+    (["estimate", "{draws}", "--init", "{draws}",
+      "--out", "{tmp}/nodir/e.json"], "_read_partition"),
     (["ball", "{draws}", "{draws}", "--out", "{tmp}/nodir/b.json"],
      "credible_ball"),
-], ids=["estimate", "trajectory", "ball"])
+], ids=["estimate", "trajectory", "init", "ball"])
 def test_unwritable_output_is_found_before_the_search(tmp_path, capsys,
                                                       monkeypatch, argv, stage):
     def no_search(*args, **kwargs):
