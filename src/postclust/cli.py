@@ -22,6 +22,7 @@ import os
 import platform
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,8 +219,13 @@ def _cmd_sample(args, argv) -> int:
     except ValueError as exc:
         return _usage_error(exc, SAMPLE_OPTIONS)
     _check_writable(args.out, args.trace)
-    with open(args.data, encoding="utf-8-sig") as fh:  # drops a BOM
-        data = Dataset(np.loadtxt(fh, delimiter=",", ndmin=2))
+    with open(args.data, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        # drops a BOM; numpy warns of a file with no data, reported below
+        warnings.simplefilter("ignore", UserWarning)
+        points = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not points.size:
+        raise ValueError("empty data file")
+    data = Dataset(points)
     trace: list | None = [] if args.trace else None
     draws = gibbs_run(data, config, trace=trace)
     np.savetxt(args.out, draws.draws, fmt="%d", delimiter=",")

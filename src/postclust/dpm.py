@@ -19,7 +19,11 @@ for a cluster of m + 1 items), and computes the trace's log joint.  All of
 it is Python floats: at a handful of clusters numpy's fixed cost per call
 outweighs its arithmetic.  Each reassignment rescores the cluster the item
 left, then scores every seat with the item added in one pass per
-dimension, the last pass fused with the seat weights.
+dimension, the last pass fused with the seat weights.  One-column data,
+such as the galaxy velocities, take a loop with no per-dimension
+iteration.  It is bit-identical to the general loop and exists for speed:
+the sweep is about 88% of a galaxy-pipeline repetition, and at D = 1 the
+per-dimension loops cost about 15% of the sweep's CPU time.
 
 One partition is recorded per post-burn-in sweep, giving the ``DrawMatrix``
 consumed by the summary tools.
@@ -129,6 +133,11 @@ class _GibbsState:
     only ever changed in place, so each item holds its moves as one tuple
     per dimension, ``(s1, h, x1, xh)``: the dimension's two slot lists and
     the item's own two terms.  :meth:`log_joint` gives the trace's value.
+
+    :meth:`sweep` runs :meth:`_sweep_1d` on one-column data and
+    :meth:`_sweep_dims` otherwise.  Both give the same floats at D = 1; they
+    share the slot bookkeeping, :meth:`_drop` and :meth:`_open`, and write
+    only the arithmetic twice.
     """
 
     def __init__(self, data: Dataset, config: SamplerConfig):
@@ -180,7 +189,34 @@ class _GibbsState:
 
     def sweep(self, us: list):
         """Reseat the items in order, item i by the uniform draw ``us[i]``;
-        an item at label -1 has no seat to leave."""
+        an item at label -1 has no seat to leave.
+
+        One-column data take :meth:`_sweep_1d`, which gives the same floats
+        as :meth:`_sweep_dims` with no per-dimension loop.  On the galaxy
+        data it takes about 15% less CPU time per sweep, and the sweep is
+        about 88% of a galaxy-pipeline repetition.
+        """
+        if len(self.moves[0]) == 1:  # one tuple per dimension
+            self._sweep_1d(us)
+        else:
+            self._sweep_dims(us)
+
+    def _drop(self, s: int):
+        """Slot s has emptied: move the last cluster into it and relabel."""
+        last = len(self.counts) - 2
+        for column in self.columns:
+            column[s] = column[last]
+            del column[last]
+        if s != last:
+            self.labels[:] = [s if j == last else j for j in self.labels]
+
+    def _open(self):
+        """The empty seat became a cluster: a copy of it follows."""
+        for column in self.columns:
+            column.append(column[-1])
+
+    def _sweep_dims(self, us: list):
+        """:meth:`sweep` at any D: one pass over the seats per dimension."""
         counts, labels, logm = self.counts, self.labels, self.logm
         crp, log, exp = self.log_crp, math.log, math.exp
         g, pre, a_n = self.g, self.prefactor, self.a_n
@@ -197,12 +233,7 @@ class _GibbsState:
                         t += log(h[s] - s1[s] * s1[s] * gn)
                     logm[s] = pre[n - 1] - a_n[n - 1] * t
                 else:
-                    last = len(counts) - 2
-                    for column in self.columns:
-                        column[s] = column[last]
-                        del column[last]
-                    if s != last:
-                        labels[:] = [s if j == last else j for j in labels]
+                    self._drop(s)
             # Each seat's log rate with item i added, bar the last dimension's.
             t = [0.0] * len(counts)
             for s1, h, x1, xh in moves[:-1]:
@@ -221,9 +252,7 @@ class _GibbsState:
             cum = [total := total + exp(w - top) for w in logw]
             choice = bisect.bisect_left(cum, u * total)
             if choice == len(counts) - 1:
-                # Item i opens a cluster: a copy of the empty seat follows it.
-                for column in self.columns:
-                    column.append(column[choice])
+                self._open()
             labels[i] = choice
             n, t = counts[choice], 0.0  # the seat's log marginal, summed as in logw
             counts[choice] = n + 1
@@ -232,6 +261,41 @@ class _GibbsState:
                 hc = h[choice] = h[choice] + xh
                 t += log(hc - sc * sc * g[n])
             logm[choice] = pre[n] - a_n[n] * t
+
+    def _sweep_1d(self, us: list):
+        """:meth:`sweep` at D = 1, bit for bit :meth:`_sweep_dims`: there a
+        log rate L enters as ``0.0 + L``, which equals L because ``log``
+        never returns -0.0."""
+        counts, labels, logm = self.counts, self.labels, self.logm
+        crp, log, exp = self.log_crp, math.log, math.exp
+        g, pre, a_n = self.g, self.prefactor, self.a_n
+        for i, (((s1, h, x1, xh),), u) in enumerate(zip(self.moves, us)):
+            s = labels[i]
+            if s >= 0:
+                n = counts[s] = counts[s] - 1
+                s1[s] -= x1
+                h[s] -= xh
+                if n:
+                    logm[s] = pre[n - 1] - a_n[n - 1] * log(
+                        h[s] - s1[s] * s1[s] * g[n - 1])
+                else:
+                    self._drop(s)
+            logw = [
+                pre[c] - a_n[c] * log((hj + xh) - (v := sj + x1) * v * g[c])
+                - old + crp[c]
+                for c, sj, hj, old in zip(counts, s1, h, logm)
+            ]
+            top, total = max(logw), 0.0
+            cum = [total := total + exp(w - top) for w in logw]
+            choice = bisect.bisect_left(cum, u * total)
+            if choice == len(counts) - 1:
+                self._open()
+            labels[i] = choice
+            n = counts[choice]
+            counts[choice] = n + 1
+            sc = s1[choice] = s1[choice] + x1
+            hc = h[choice] = h[choice] + xh
+            logm[choice] = pre[n] - a_n[n] * log(hc - sc * sc * g[n])
 
 
 def _update_alpha(

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,20 @@ def test_non_finite_data_is_a_data_error(tmp_path, capsys):
                      "--iterations", "3", "--burn-in", "0"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\ufeff# no rows\n\n"],
+                         ids=["empty", "comment-only"])
+def test_empty_data_file_is_a_data_error(tmp_path, capsys, text):
+    data = tmp_path / "empty.csv"
+    data.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's own warning is not shown
+        code = cli.main(["sample", str(data), str(tmp_path / "d.csv"),
+                         "--iterations", "3", "--burn-in", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: empty data file\n"
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_non_finite_hyperparameter_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Sampler checks: exact posterior, the trace's log joint, pinned chains.
+"""Sampler checks: exact posterior, the trace's log joint, pinned chains,
+and the one-column sweep against the general one.
 
 The sampler's log marginals are checked against ``sequential_predictive``
 and its CRP weights against ``crp_log_prior``, both written here from the
@@ -156,6 +157,57 @@ class TestExactPosterior:
         assert self.total_variation(seed) > 0.1
 
 
+class TestExactPosterior2D(TestExactPosterior):
+    """The same two checks on five 2-D points, which take the general
+    sweep: the first column is the 1-D points, the second the same values
+    shifted by one item."""
+
+    POINTS = [[-1.3, -1.0], [-1.0, 0.2], [0.2, 1.4], [1.4, 1.6], [1.6, -1.3]]
+
+
+class TestOneColumnSweep:
+    """The one-column loop against the general loop it stands for at D = 1:
+    from the same state and uniform draws, every sweep leaves the same
+    labels, counts, log marginals and sums, float for float."""
+
+    @staticmethod
+    def snapshot(state):
+        (s1, h, _, _), = state.moves[0]
+        return (list(state.labels), list(state.counts),
+                *([v.hex() for v in column] for column in (state.logm, s1, h)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("alpha0, alpha_prior, b_scale, k_range", [
+        (1.0, (1.0, 1.0), 1.0, (1, 12)),
+        (2.0, None, 1.0, (1, 12)),
+        (30.0, None, 1 / 50, (20, 45)),
+        (30.0, (30.0, 1.0), 1 / 50, (15, 45)),
+    ], ids=["gamma-small-k", "fixed-small-k", "fixed-large-k",
+            "gamma-large-k"])
+    def test_same_state_after_every_sweep(self, seed, alpha0, alpha_prior,
+                                          b_scale, k_range):
+        data = load_galaxy()
+        config = SamplerConfig(
+            mu0=float(data.points.mean()),
+            b=float(data.points.var(ddof=1)) * b_scale,
+            alpha0=alpha0, alpha_prior=alpha_prior, seed=seed,
+        )
+        one, general = _GibbsState(data, config), _GibbsState(data, config)
+        rng = np.random.default_rng(seed)
+        alpha, ks = alpha0, []
+        for _ in range(41):  # the initial seating, then 40 sweeps
+            us = rng.random(data.n).tolist()
+            one._sweep_1d(us)
+            general._sweep_dims(us)
+            assert self.snapshot(one) == self.snapshot(general)
+            if alpha_prior is not None:
+                alpha = _update_alpha(alpha, one.k, data.n, alpha_prior, rng)
+            one.set_alpha(alpha)
+            general.set_alpha(alpha)
+            ks.append(one.k)
+        assert k_range[0] <= np.mean(ks[1:]) <= k_range[1]
+
+
 class TestAlphaUpdate:
     def test_leaves_mass_posterior_invariant(self):
         k, n, prior = 3, 20, (1.0, 1.0)
@@ -259,6 +311,21 @@ class TestChainPinLargeK:
         )
         assert _chain_sha(config, data) == (
             "60854e19d040d9682f002a82c3554cfd306c501a322366c2e0ed3bcad8861dd8"
+        )
+
+
+class TestChainPinLargeK1D:
+    """Sha256 of a 60-sweep galaxy chain at mean k about 32 (fixed alpha 30,
+    b a fiftieth of the variance), recorded before one-column data took
+    their own sweep: it reaches that loop's cluster openings, emptied
+    slots and relabels."""
+
+    def test_chain_is_pinned(self):
+        base = TestChainPin.base()
+        config = SamplerConfig(**dict(base, b=base["b"] / 50), alpha0=30.0,
+                               alpha_prior=None, seed=2)
+        assert _chain_sha(config) == (
+            "909e973829f4b89c5dacbf88524acacc0786a67dcd4fa3628197e80b827aef17"
         )
 
 
